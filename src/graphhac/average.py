@@ -27,7 +27,7 @@ import heapq
 import math
 
 from .dendrogram import Dendrogram, DendrogramBuilder
-from .engine import RunAudit
+from .engine import RunAudit, _global_heap_loop
 from .graph import WeightedGraph
 from .heaps import new_heap
 from .orientation import Orientation, default_cap
@@ -319,7 +319,12 @@ def approx_avg_hac(
     audit: RunAudit | None = None,
 ) -> Dendrogram:
     """Heap-driver UPGMA that is epsilon-close: every merge's true similarity
-    is at least (1-epsilon) times the true current maximum."""
+    is at least (1-epsilon) times the true current maximum. A cluster's
+    global-heap weight is its best stored priority over its own size, and
+    each cluster has at most one copy of that entry queued: stored
+    priorities of clusters other than a merge's survivor only fall, so the
+    shared loop's skip of repeated keys keeps the merges unchanged (see
+    `engine._global_heap_loop`)."""
     n = graph.n
     if n == 0:
         raise ValueError("empty graph")
@@ -327,35 +332,23 @@ def approx_avg_hac(
     st = _AvgState(graph, heap_impl)
     stale_base = [1.0] * n  # size at the last full rebuild
 
-    heap: list[tuple[float, int, int]] = []
-    for v in range(n):
-        if st.degree(v) > 0:
-            nbr, p = st.heaps[v].best_edge()
-            heap.append((-p, v, nbr))  # sizes are 1: stored weight = priority
-    heapq.heapify(heap)
-    while heap:
-        nw, u, v = heapq.heappop(heap)
-        if not st.active[u]:
-            continue
-        if not st.active[v]:
-            if st.degree(u) > 0:
-                nbr, p = st.heaps[u].best_edge()
-                heapq.heappush(heap, (-(p / st.size[u]), u, nbr))
-            continue
-        nbr, p = st.heaps[u].best_edge()
-        w = p / st.size[u]
-        if nbr != v or w != -nw:  # stale entry: requeue the current best
-            heapq.heappush(heap, (-w, u, nbr))
-            continue
-        folded, survivor, nbrs, collisions, _mw = st.merge_structural(u, v, audit)
+    def best(u: int) -> tuple[float, int, int] | None:
+        try:
+            nbr, p = st.heaps[u].best_edge()
+        except KeyError:  # no edges left
+            return None
+        return -(p / st.size[u]), u, nbr
+
+    def merge(u: int, v: int, _w: float) -> int:
+        _folded, survivor, _nbrs, collisions, _mw = st.merge_structural(u, v, audit)
         for c in collisions:
             # parallel edges joined this cut: write the true value both ways
             st.heaps[survivor].update(c, st.true_prio(survivor, c))
         if st.size[survivor] >= (1.0 + delta) * stale_base[survivor]:
             rebuild_cluster(st, stale_base, survivor, audit)
-        if st.degree(survivor) > 0:
-            nbr, p = st.heaps[survivor].best_edge()
-            heapq.heappush(heap, (-(p / st.size[survivor]), survivor, nbr))
         if audit is not None and audit.check_sandwich:
             _check_sandwich(st, delta)
+        return survivor
+
+    _global_heap_loop(n, st.active, best, merge)
     return st.finish()

@@ -84,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hac.add_argument("--epsilon", type=float, default=None, help="avg-approx closeness")
     hac.add_argument("--delta-cap", type=int, default=None, help="avg-exact outdegree cap")
     hac.add_argument("--heap-impl", choices=list(HEAP_IMPLS), default="tree")
-    hac.add_argument("--seed", type=int, default=0, help="seed for the meld table salt")
     hac.add_argument("--audit", action="store_true", help="run instrumented checks")
 
     knn = sub.add_parser("knn-graph", help="build a k-NN similarity graph from points")
@@ -128,10 +127,7 @@ def _cmd_hac(args) -> int:
     )
     if args.unweighted:
         g = degree_log_reweight(g)
-    # seed is recorded for reproducibility; the meld table layout is already
-    # deterministic, so it does not alter results
-    log.info("loaded graph: n=%d m=%d (heap=%s seed=%d)",
-             g.n, g.m, args.heap_impl, args.seed)
+    log.info("loaded graph: n=%d m=%d (heap=%s)", g.n, g.m, args.heap_impl)
     audit = engine.RunAudit(check_mirror=True, check_total_edges=True,
                             check_in_edges=True, check_sandwich=True) if args.audit else None
     t0 = time.perf_counter()

@@ -6,12 +6,18 @@ the linkage's combine, and every neighbor of the folded cluster relabels its
 entry to the survivor. The chain driver walks best-neighbor paths with a
 stack and merges reciprocal pairs; the heap driver keeps a global max-heap
 of per-cluster best edges and merges the current global maximum.
+
+The global-heap loop itself (`_global_heap_loop`) is shared with the
+approximate average-linkage engine. It queues at most one copy of each
+cluster's current best edge: a re-push of a key the cluster already has
+queued is skipped, so a stale pop costs one push, not a new duplicate.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from typing import Callable
 
 from .dendrogram import Dendrogram, DendrogramBuilder
 from .graph import WeightedGraph
@@ -184,6 +190,72 @@ def chain_hac(
     return _finish(state)
 
 
+def _global_heap_loop(
+    n: int,
+    active: list[bool],
+    best: Callable[[int], tuple[float, int, int] | None],
+    merge: Callable[[int, int, float], int],
+) -> None:
+    """Lazy global-heap driver: repeatedly merge the best cluster pair.
+
+    `best(u)` returns the heap key `(-w, u, nbr)` of u's current best edge
+    (weight w to neighbor nbr), or None when u has no edges left;
+    `merge(u, v, w)` merges u and v and returns the survivor. A popped key
+    of an active u that equals `best(u)` merges u and nbr, then queues the
+    survivor's best key; any other popped key of an active u is stale and
+    queues `best(u)` instead.
+
+    One queued entry per cluster: `queued[u]` is an entry of u known to be
+    in the heap. It is set on push and cleared when that entry pops, and a
+    push equal to `queued[u]` is skipped. Without the skip, every stale pop
+    of u re-pushes a copy of u's best key, and on a tied star the hub's
+    copies cost hub x (n - hub) pops.
+
+    Why the skip cannot change the merge sequence. Say u is *covered* when
+    the heap holds an entry of u whose weight is at least u's current best
+    weight. Every active cluster with an edge stays covered: a survivor
+    queues its best key, every pop of a live cluster's entry queues its best
+    key again, and any other cluster's best weight can only fall (below).
+    While all are covered, a popped key that equals its cluster's best key
+    belongs to the cluster u* minimising (-best weight, id): the heap top
+    comes no later than u*'s covering entry, and such a key of any other
+    cluster would give it an earlier pair than u*'s. So each merge joins u*
+    and its best neighbor, a function of the clustering state alone,
+    however many copies of a key the heap holds. A skipped push would only
+    have added a copy of a key that is already in the heap and already
+    covers u.
+
+    Why a cluster that is not a survivor never sees its best weight rise:
+    a neighbor c of a merge changes only its entry for the merged pair. For
+    single, complete and WPGMA the new weight is the max, min or mean of two
+    of c's own weights, so it is no more than c's best. For approximate
+    average linkage the new priority is the mediant cut/size of the two true
+    priorities, true priorities never exceed the stored ones, and rebuilds
+    write true values, which never exceed the stored upper bounds. In
+    floating point the mediant is rounded and may pass a stored value by an
+    ulp; the tree/meld and reference equivalence tests cover those runs.
+    """
+    queued: list[tuple[float, int, int] | None] = [None] * n
+    heap = [e for e in map(best, range(n)) if e is not None]
+    for e in heap:
+        queued[e[1]] = e
+    heapq.heapify(heap)
+    while heap:
+        item = heapq.heappop(heap)
+        u = item[1]
+        if not active[u]:
+            continue
+        if queued[u] is item:
+            queued[u] = None
+        e = best(u)
+        if e == item:  # u's heap holds only active clusters, so nbr is active
+            u = merge(u, item[2], -item[0])
+            e = best(u)
+        if e is not None and e != queued[u]:
+            queued[u] = e
+            heapq.heappush(heap, e)
+
+
 def heap_hac(
     graph: WeightedGraph,
     kind: str,
@@ -193,33 +265,23 @@ def heap_hac(
 ) -> Dendrogram:
     """Global-heap driver. Extracts the maximum stored edge; entries whose
     endpoint went inactive, or that no longer match their cluster's current
-    best edge, are lazily replaced by a fresh best-edge entry."""
+    best edge, are replaced by the cluster's current best edge, queued at
+    most once per cluster (see `_global_heap_loop`)."""
     if graph.n == 0:
         raise ValueError("empty graph")
     state = ClusterState(graph, kind, heap_impl)
-    heap: list[tuple[float, int, int]] = []
-    for v in range(graph.n):
-        if state.degree(v) > 0:
-            nbr, w = state.heaps[v].best_edge()
-            heap.append((-w, v, nbr))
-    heapq.heapify(heap)
-    while heap:
-        nw, u, v = heapq.heappop(heap)
-        if not state.active[u]:
-            continue
-        if not state.active[v]:
-            if state.degree(u) > 0:
-                nbr, w = state.heaps[u].best_edge()
-                heapq.heappush(heap, (-w, u, nbr))
-            continue
-        nbr, w = state.heaps[u].best_edge()
-        if nbr != v or w != -nw:  # stale entry: requeue the current best
-            heapq.heappush(heap, (-w, u, nbr))
-            continue
-        survivor = merge_clusters(state, u, v, w, audit)
-        if state.degree(survivor) > 0:
-            nbr, w = state.heaps[survivor].best_edge()
-            heapq.heappush(heap, (-w, survivor, nbr))
+
+    def best(c: int) -> tuple[float, int, int] | None:
+        try:
+            nbr, w = state.heaps[c].best_edge()
+        except KeyError:  # no edges left
+            return None
+        return -w, c, nbr
+
+    def merge(u: int, v: int, w: float) -> int:
+        return merge_clusters(state, u, v, w, audit)
+
+    _global_heap_loop(graph.n, state.active, best, merge)
     if audit is not None and audit.check_total_edges:
         state.check_total_edges(graph.m)
     return _finish(state)

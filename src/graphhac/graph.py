@@ -201,7 +201,8 @@ class PointSet:
 
 
 def load_points_csv(path: str | Path) -> PointSet:
-    """One point per row, all-numeric comma-separated columns."""
+    """One point per row, all-numeric comma-separated columns; a nan or inf
+    coordinate is a format error."""
     rows: list[list[float]] = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -211,6 +212,8 @@ def load_points_csv(path: str | Path) -> PointSet:
             rows.append([float(x) for x in line.split(",")])
         except ValueError:
             raise GraphFormatError("non-numeric field", lineno) from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise GraphFormatError("non-finite coordinate", lineno)
         if len(rows[-1]) != len(rows[0]):
             raise GraphFormatError(
                 f"dimension mismatch: {len(rows[-1])} vs {len(rows[0])}", lineno

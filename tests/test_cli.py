@@ -58,7 +58,7 @@ def test_byte_identical_reruns(tmp_path):
     for rep in range(2):
         out = tmp_path / f"d{rep}.tsv"
         assert run_cli(
-            ["hac", "--linkage", "avg-approx", "--epsilon", "0.1", "--seed", "7",
+            ["hac", "--linkage", "avg-approx", "--epsilon", "0.1",
              "--input", str(inp), "--output", str(out)]
         ) == 0
         outs.append(out.read_bytes())
@@ -137,6 +137,16 @@ def test_exit_code_format_error(tmp_path):
     assert run_cli(
         ["hac", "--linkage", "single", "--input", str(bad), "--output", str(tmp_path / "d.tsv")]
     ) == 4
+
+
+@pytest.mark.parametrize("field", ["nan", "inf"])
+def test_knn_graph_rejects_non_finite_point(tmp_path, capsys, field):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"0\n{field}\n1\n5\n")
+    out = tmp_path / "g.wel"
+    assert run_cli(["knn-graph", "--k", "1", "--input", str(pts), "--output", str(out)]) == 4
+    assert not out.exists()
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_exit_code_bad_flag_combo(tmp_path):

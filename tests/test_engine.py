@@ -1,6 +1,10 @@
+import heapq
 import math
+import random
 
 import pytest
+
+from graphhac.average import approx_avg_hac
 
 from graphhac.dendrogram import (
     Dendrogram,
@@ -19,8 +23,9 @@ from graphhac.engine import (
     merge_cost_total,
 )
 from graphhac.graph import make_graph
+from graphhac.heaps import HEAP_IMPLS
 from graphhac.instances import star_graph
-from graphhac.linkage import LinkageError
+from graphhac.linkage import TRIANGLE_KINDS, LinkageError
 from graphhac.reference import reference_hac
 
 PATH = make_graph(3, [(0, 1, 1.0), (1, 2, 0.6)])
@@ -139,6 +144,66 @@ def test_oracle_equivalence_small(small_graphs):
             assert heap_hac(g, kind).merges == ref.merges
             assert same_clustering(chain_hac(g, kind), ref)
         assert heap_hac(g, "wpgma").merges == reference_hac(g, "wpgma").merges
+
+
+def hub_star(n, hub):
+    """Unit-weight star on n vertices centred on `hub`."""
+    return make_graph(n, [(min(hub, i), max(hub, i), 1.0) for i in range(n) if i != hub])
+
+
+def tied_graph(seed):
+    """Random graph, not always connected, whose integer weights in 1..L
+    (L <= 4) make most weights tie."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    levels = rng.randint(1, 4)
+    p = rng.choice((0.1, 0.3, 1.0))
+    edges = [
+        (u, v, float(rng.randint(1, levels)))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p
+    ]
+    return make_graph(n, edges)
+
+
+TIED_GRAPHS = [tied_graph(t) for t in range(100)]
+HUB_STARS = [hub_star(n, hub) for n in (5, 17, 60) for hub in range(n)]
+
+
+@pytest.mark.parametrize("heap_impl", HEAP_IMPLS)
+def test_heap_matches_reference_on_ties(heap_impl):
+    """Tie-heavy oracle check: the global-heap driver's tie rule (weight,
+    then owner id, then neighbor id) must pick the reference's merges."""
+    for g in TIED_GRAPHS + HUB_STARS:
+        for kind in TRIANGLE_KINDS:
+            ref = reference_hac(g, kind)
+            assert heap_hac(g, kind, heap_impl=heap_impl).merges == ref.merges, (g.n, kind)
+
+
+def test_approx_tree_meld_identical_on_ties():
+    for g in TIED_GRAPHS + HUB_STARS:
+        tree = approx_avg_hac(g, 0.1, heap_impl="tree")
+        assert approx_avg_hac(g, 0.1, heap_impl="meld").merges == tree.merges, g.n
+
+
+@pytest.mark.parametrize("heap_impl", HEAP_IMPLS)
+def test_heap_pops_linear_on_tied_star(heap_impl, monkeypatch):
+    """One queued entry per cluster: on a unit star with a middle hub the
+    global heap pops O(n) times, not hub x (n - hub)."""
+    n = 400
+    pops = 0
+    real_pop = heapq.heappop
+
+    def counting_pop(heap):
+        nonlocal pops
+        pops += 1
+        return real_pop(heap)
+
+    monkeypatch.setattr(heapq, "heappop", counting_pop)
+    d = heap_hac(hub_star(n, n // 2), "single", heap_impl=heap_impl)
+    assert len(d.merges) == n - 1
+    assert pops <= 3 * n, pops
 
 
 def test_mirror_and_total_edges_audit(small_graphs):
