@@ -169,9 +169,13 @@ class _AvgState:
 
 def refresh_out_edges(state: _AvgState, orient: Orientation, a: int) -> None:
     """Rewrite the few entries a stores for its out-neighbors with their true
-    priorities; afterwards best_edge(heap(a)) reflects true weights."""
+    priorities; afterwards best_edge(heap(a)) reflects true weights. Entries
+    that already hold their true priority are not rewritten."""
+    heap = state.heaps[a]
     for c in orient.out_neighbors(a):
-        state.heaps[a].update(c, state.true_prio(a, c))
+        tp = state.true_prio(a, c)
+        if heap.get(c) != tp:
+            heap.update(c, tp)
 
 
 def rebuild_cluster(
@@ -205,6 +209,12 @@ def exact_avg_hac(
     n = graph.n
     if n == 0:
         raise ValueError("empty graph")
+    need = -(-graph.m // n)  # every edge has a tail: some outdegree is >= ceil(m/n)
+    if delta_cap is not None and delta_cap < need:
+        raise ValueError(
+            f"delta_cap {delta_cap} is below ceil(m/n) = {need} "
+            f"(m={graph.m}, n={n}): no orientation fits under it"
+        )
     st = _AvgState(graph, heap_impl)
     cap = delta_cap if delta_cap is not None else default_cap(graph.m)
 

@@ -4,7 +4,13 @@ Two interchangeable representations with identical observable behavior:
 
 * TreeNeighborHeap: a join-based AVL tree keyed by neighbor id, augmented
   with the subtree max priority. Union of sizes (s, l), s <= l, costs
-  O(s log(l/s + 1)) tree operations; BestEdge costs O(log n).
+  O(s log(l/s + 1)) tree operations; BestEdge costs O(log n). Built from
+  items strictly increasing in key (what the engines pass) it costs O(d):
+  one node per item, middle item at the root. Insert and delete descend
+  once and rebalance that path; delete joins the node's children through a
+  single _split_last of the left child. Update changes no shape, so it
+  recomputes only maxp, from the node up to the first unchanged ancestor:
+  O(log d) at worst.
 * MeldNeighborHeap: a pairing heap (max order: priority, then smaller key)
   plus a hash table mapping key -> heap node, so point edits find their node
   in O(1). Union melds the heaps in O(1) and merges the smaller table into
@@ -28,7 +34,8 @@ _MISSING = object()
 
 
 class _TreeOps:
-    """Test hook: counts tree-node operations (split/join calls, node makes)."""
+    """Test hook: counts tree-node operations (split/join calls, node makes,
+    rebalance steps)."""
 
     __slots__ = ("count",)
 
@@ -56,18 +63,32 @@ def _h(t) -> int:
     return t.height if t is not None else 0
 
 
-def _sz(t) -> int:
-    return t.size if t is not None else 0
-
-
 def _fix(t) -> None:
-    t.height = 1 + max(_h(t.left), _h(t.right))
-    t.size = 1 + _sz(t.left) + _sz(t.right)
+    """Recompute t's height, size and maxp from its children."""
+    l, r = t.left, t.right
     m = t.prio
-    if t.left is not None and t.left.maxp > m:
-        m = t.left.maxp
-    if t.right is not None and t.right.maxp > m:
-        m = t.right.maxp
+    if l is None:
+        if r is None:
+            t.height = 1
+            t.size = 1
+        else:
+            t.height = r.height + 1
+            t.size = r.size + 1
+            if r.maxp > m:
+                m = r.maxp
+    elif r is None:
+        t.height = l.height + 1
+        t.size = l.size + 1
+        if l.maxp > m:
+            m = l.maxp
+    else:
+        hl, hr = l.height, r.height
+        t.height = (hl if hl > hr else hr) + 1
+        t.size = l.size + r.size + 1
+        if l.maxp > m:
+            m = l.maxp
+        if r.maxp > m:
+            m = r.maxp
     t.maxp = m
 
 
@@ -97,7 +118,8 @@ def _node(key: int, prio: float):
 def _join(l, mid, r):
     """AVL join: all keys in l < mid.key < all keys in r."""
     TREE_OPS.count += 1
-    hl, hr = _h(l), _h(r)
+    hl = l.height if l is not None else 0
+    hr = r.height if r is not None else 0
     if hl > hr + 1:
         return _join_right(l, mid, r)
     if hr > hl + 1:
@@ -162,17 +184,102 @@ def _split(t, key):
     return t.left, t.prio, t.right
 
 
+def _split_last(t):
+    """Detach the max-key node of non-empty t; returns (rest, node). The left
+    subtrees along the right spine are joined back bottom-up, which costs
+    O(log |t|) in total because consecutive spine heights telescope."""
+    TREE_OPS.count += 1
+    r = t.right
+    if r is None:
+        return t.left, t
+    rest, last = _split_last(r)
+    return _join(t.left, t, rest), last
+
+
 def _join2(l, r):
-    """Join without a pivot: pop the max key of l to act as one."""
+    """Join without a pivot: the max node of l acts as one."""
     if l is None:
         return r
     if r is None:
         return l
-    t = l
-    while t.right is not None:
-        t = t.right
-    l2, prio, _ = _split(l, t.key)
-    return _join(l2, _node(t.key, prio), r)
+    l, last = _split_last(l)
+    return _join(l, last, r)
+
+
+def _build(items, lo: int, hi: int):
+    """Balanced tree over items[lo:hi], strictly increasing in key: the middle
+    item is the root, so sibling sizes (hence heights) differ by at most one."""
+    if lo >= hi:
+        return None
+    mid = (lo + hi) // 2
+    t = _node(*items[mid])
+    t.left = _build(items, lo, mid)
+    t.right = _build(items, mid + 1, hi)
+    _fix(t)
+    return t
+
+
+def _descend(t, key):
+    """Returns (node with key or None, the nodes passed on the way down)."""
+    path = []
+    while t is not None:
+        k = t.key
+        if key == k:
+            break
+        path.append(t)
+        t = t.left if key < k else t.right
+    return t, path
+
+
+def _refresh_maxp(t, path) -> None:
+    """t's priority changed, the shape did not: recompute maxp from t up its
+    path, stopping at the first node whose maxp comes out unchanged."""
+    while True:
+        m = t.prio
+        l, r = t.left, t.right
+        if l is not None and l.maxp > m:
+            m = l.maxp
+        if r is not None and r.maxp > m:
+            m = r.maxp
+        if m == t.maxp:
+            return
+        t.maxp = m
+        if not path:
+            return
+        t = path.pop()
+
+
+def _rebalance(t):
+    """Refresh t after one child's height changed by at most one, rotating if
+    the AVL balance broke; returns the subtree's new root."""
+    TREE_OPS.count += 1
+    l, r = t.left, t.right
+    hl = l.height if l is not None else 0
+    hr = r.height if r is not None else 0
+    if hl > hr + 1:
+        if _h(l.left) < _h(l.right):
+            t.left = _rot_left(l)
+        return _rot_right(t)
+    if hr > hl + 1:
+        if _h(r.right) < _h(r.left):
+            t.right = _rot_right(r)
+        return _rot_left(t)
+    _fix(t)
+    return t
+
+
+def _replace(path, key, t):
+    """Put subtree t where the descent `path` for `key` ended (a new leaf, or
+    the join of a deleted node's children, either within one level of the
+    old height) and rebalance up to the root; returns the new root."""
+    while path:
+        p = path.pop()
+        if key < p.key:
+            p.left = t
+        else:
+            p.right = t
+        t = _rebalance(p)
+    return t
 
 
 def _tree_union(a, b, combine: CombineFn):
@@ -197,12 +304,17 @@ class TreeNeighborHeap:
     __slots__ = ("_root",)
 
     def __init__(self, items: Iterable[tuple[int, float]] = ()):
+        items = [(k, float(p)) for k, p in items]
+        keys = [k for k, _ in items]
+        if all(a < b for a, b in zip(keys, keys[1:])):
+            self._root = _build(items, 0, len(items))
+            return
         self._root = None
         for k, p in items:
-            self.insert(k, float(p))
+            self.insert(k, p)
 
     def __len__(self) -> int:
-        return _sz(self._root)
+        return self._root.size if self._root is not None else 0
 
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None
@@ -216,37 +328,32 @@ class TreeNeighborHeap:
         return None
 
     def insert(self, key: int, prio: float) -> None:
-        l, f, r = _split(self._root, key)
-        if f is not _MISSING:
-            self._root = _join(l, _node(key, f), r)  # keep the existing entry
+        t, path = _descend(self._root, key)
+        if t is not None:
             raise KeyError(f"insert: key {key} already present")
-        self._root = _join(l, _node(key, prio), r)
+        self._root = _replace(path, key, _node(key, prio))
 
     def update(self, key: int, prio: float) -> None:
-        t = self._root
-        path = []
-        while t is not None and t.key != key:
-            path.append(t)
-            t = t.left if key < t.key else t.right
+        t, path = _descend(self._root, key)
         if t is None:
             raise KeyError(f"update: key {key} absent")
         t.prio = prio
-        _fix(t)
-        for p in reversed(path):
-            _fix(p)
+        _refresh_maxp(t, path)
 
     def upsert(self, key: int, prio: float) -> None:
-        if key in self:
-            self.update(key, prio)
+        t, path = _descend(self._root, key)
+        if t is None:
+            self._root = _replace(path, key, _node(key, prio))
         else:
-            self.insert(key, prio)
+            t.prio = prio
+            _refresh_maxp(t, path)
 
     def delete(self, key: int) -> float:
-        l, f, r = _split(self._root, key)
-        self._root = _join2(l, r)  # reassembles all surviving entries
-        if f is _MISSING:
+        t, path = _descend(self._root, key)
+        if t is None:
             raise KeyError(f"delete: key {key} absent")
-        return f
+        self._root = _replace(path, key, _join2(t.left, t.right))
+        return t.prio
 
     def best_edge(self) -> tuple[int, float]:
         t = self._root
@@ -269,11 +376,12 @@ class TreeNeighborHeap:
 
     def relabel(self, old_key: int, new_key: int, combine: CombineFn) -> None:
         prio = self.delete(old_key)
-        ex = self.get(new_key)
-        if ex is None:
-            self.insert(new_key, prio)
+        t, path = _descend(self._root, new_key)
+        if t is None:
+            self._root = _replace(path, new_key, _node(new_key, prio))
         else:
-            self.update(new_key, combine(ex, prio))
+            t.prio = combine(t.prio, prio)
+            _refresh_maxp(t, path)
 
     def entries(self) -> Iterator[tuple[int, float]]:
         """In increasing key order."""

@@ -19,6 +19,10 @@ from typing import Callable
 FlipFn = Callable[[int, int], None]  # flip(tail, head): edge now tail -> head
 
 
+class OrientationError(ValueError):
+    """The flip cascade did not settle: the cap is too small for the graph."""
+
+
 def default_cap(m0: int) -> int:
     """Default outdegree cap for a graph that starts with m0 edges.
 
@@ -28,6 +32,8 @@ def default_cap(m0: int) -> int:
 
 
 class Orientation:
+    flip_limit = 10_000_000  # flips one cascade may make before it is declared stuck
+
     def __init__(
         self,
         cap: int,
@@ -78,7 +84,6 @@ class Orientation:
         """Reverse all out-edges of any vertex over the cap until stable."""
         queue = deque([start])
         guard = 0
-        limit = 10_000_000
         while queue:
             x = queue.popleft()
             edges = self.out.get(x)
@@ -95,8 +100,10 @@ class Orientation:
                 if len(self.out[y]) > self.cap:
                     queue.append(y)
                 guard += 1
-                if guard > limit:
-                    raise RuntimeError("orientation cascade failed to settle")
+                if guard > self.flip_limit:
+                    raise OrientationError(
+                        f"orientation cascade failed to settle under outdegree cap {self.cap}"
+                    )
 
     def delete_edge(self, u: int, v: int) -> None:
         if v in self.out.get(u, ()):

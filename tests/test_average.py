@@ -216,6 +216,33 @@ def test_refresh_out_edges_direct():
     assert dict(st.heaps[3].entries()) == before
 
 
+@pytest.mark.parametrize("heap_impl", ["tree", "meld"])
+def test_refresh_out_edges_skips_true_entries(heap_impl, monkeypatch):
+    g = make_graph(4, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.25)])
+    st = _AvgState(g, heap_impl)
+    orient = Orientation(8)
+    for u, v in ((1, 3), (1, 2), (0, 1)):
+        orient.insert_edge(u, v)
+    assert orient.out_neighbors(2) == [1]
+    st.merge_structural(0, 1, None)
+    refresh_out_edges(st, orient, 2)
+    writes = []
+    cls = type(st.heaps[2])
+    update = cls.update
+    monkeypatch.setattr(cls, "update", lambda h, k, p: writes.append(k) or update(h, k, p))
+    refresh_out_edges(st, orient, 2)  # every out-entry already holds its true priority
+    assert writes == []
+    assert st.heaps[2].get(1) == st.true_prio(2, 1)
+
+
+def test_exact_rejects_cap_below_edge_density():
+    # K4: 6 edges on 4 vertices, so some vertex has outdegree >= 2
+    k4 = make_graph(4, [(u, v, 1.0) for u in range(4) for v in range(u + 1, 4)])
+    with pytest.raises(ValueError, match="delta_cap 1"):
+        exact_avg_hac(k4, delta_cap=1)
+    assert same_clustering(exact_avg_hac(k4, delta_cap=2), naive_avg_hac(k4))
+
+
 def test_disconnected_components_forest():
     g = make_graph(5, [(0, 1, 0.9), (2, 3, 0.8), (3, 4, 0.2)])
     for engine in ALL_ENGINES:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -160,6 +161,20 @@ def test_exit_code_bad_flag_combo(tmp_path):
         ["hac", "--linkage", "single", "--delta-cap", "4", "--input", str(inp),
          "--output", str(tmp_path / "d.tsv")]
     ) == 2
+
+
+def test_exit_code_delta_cap_below_edge_density(tmp_path, capsys):
+    inp = tmp_path / "k4.wel"
+    inp.write_text("".join(f"{u} {v} 1\n" for u in range(4) for v in range(u + 1, 4)))
+    t0 = time.perf_counter()
+    assert run_cli(
+        ["hac", "--linkage", "avg-exact", "--delta-cap", "1", "--input", str(inp),
+         "--output", str(tmp_path / "d.tsv")]
+    ) == 5
+    assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert "delta_cap 1" in err and "Traceback" not in err
+    assert not (tmp_path / "d.tsv").exists()
 
 
 def test_exit_code_label_mismatch(tmp_path):

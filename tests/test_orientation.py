@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from graphhac.orientation import Orientation, default_cap
+from graphhac.orientation import Orientation, OrientationError, default_cap
 
 
 def directed_edges(o: Orientation) -> set[tuple[int, int]]:
@@ -144,3 +144,14 @@ def test_flip_count_guardrail():
             o.delete_edge(*e)
             ops += 1
         assert o.flip_count <= 4 * ops * math.log2(n)
+
+
+def test_stuck_cascade_raises_value_error():
+    # K5 under cap 2 makes the reorient-on-overflow cascade cycle
+    o = Orientation(2)
+    o.flip_limit = 1000
+    with pytest.raises(OrientationError, match="cap 2"):
+        for u in range(5):
+            for v in range(u + 1, 5):
+                o.insert_edge(u, v)
+    assert issubclass(OrientationError, ValueError)
