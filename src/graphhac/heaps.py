@@ -212,7 +212,8 @@ def _build(items, lo: int, hi: int):
     if lo >= hi:
         return None
     mid = (lo + hi) // 2
-    t = _node(*items[mid])
+    k, p = items[mid]
+    t = _node(k, float(p))
     t.left = _build(items, lo, mid)
     t.right = _build(items, mid + 1, hi)
     _fix(t)
@@ -304,14 +305,13 @@ class TreeNeighborHeap:
     __slots__ = ("_root",)
 
     def __init__(self, items: Iterable[tuple[int, float]] = ()):
-        items = [(k, float(p)) for k, p in items]
-        keys = [k for k, _ in items]
-        if all(a < b for a, b in zip(keys, keys[1:])):
+        items = list(items)
+        if all(items[i][0] < items[i + 1][0] for i in range(len(items) - 1)):
             self._root = _build(items, 0, len(items))
             return
         self._root = None
         for k, p in items:
-            self.insert(k, p)
+            self.insert(k, float(p))
 
     def __len__(self) -> int:
         return self._root.size if self._root is not None else 0
