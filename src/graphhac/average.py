@@ -169,13 +169,10 @@ class _AvgState:
 
 def refresh_out_edges(state: _AvgState, orient: Orientation, a: int) -> None:
     """Rewrite the few entries a stores for its out-neighbors with their true
-    priorities; afterwards best_edge(heap(a)) reflects true weights. Entries
-    that already hold their true priority are not rewritten."""
+    priorities; afterwards best_edge(heap(a)) reflects true weights."""
     heap = state.heaps[a]
     for c in orient.out_neighbors(a):
-        tp = state.true_prio(a, c)
-        if heap.get(c) != tp:
-            heap.update(c, tp)
+        heap.update(c, state.true_prio(a, c))
 
 
 def rebuild_cluster(
@@ -190,7 +187,7 @@ def rebuild_cluster(
     for c, prio in list(state.heaps[x].entries()):
         cs = state.cut[_pk(x, c)]
         tp = cs / state.size[c]
-        if prio != tp:
+        if prio != tp:  # prio is in hand: skipping saves the tree a descent
             state.heaps[x].update(c, tp)
         state.heaps[c].update(x, cs / xsz)
     stale_base[x] = float(xsz)

@@ -4,16 +4,17 @@ Two interchangeable representations with identical observable behavior:
 
 * TreeNeighborHeap: a join-based AVL tree keyed by neighbor id, augmented
   with the subtree max priority. Union of sizes (s, l), s <= l, costs
-  O(s log(l/s + 1)) tree operations; BestEdge costs O(log n). Built from
-  items strictly increasing in key (what the engines pass) it costs O(d):
-  one node per item, middle item at the root. Insert and delete descend
-  once and rebalance that path; delete joins the node's children through a
-  single _split_last of the left child. Update changes no shape, so it
-  recomputes only maxp, from the node up to the first unchanged ancestor:
-  O(log d) at worst.
+  O(s log(l/s + 1)) tree operations; BestEdge costs O(log n). Construction
+  sorts the items (one linear pass on the sorted lists the engines pass) and
+  builds one node per item, middle item at the root: O(d) tree operations,
+  KeyError on a duplicate key. Insert and delete descend once and rebalance
+  that path; delete joins the node's children through a single _split_last
+  of the left child. Update changes no shape, so it recomputes only maxp,
+  from the node up to the first unchanged ancestor: O(log d) at worst.
 * MeldNeighborHeap: a pairing heap (max order: priority, then smaller key)
   plus a hash table mapping key -> heap node, so point edits find their node
-  in O(1). Union melds the heaps in O(1) and merges the smaller table into
+  in O(1). Update is delete + insert, skipped when the priority is
+  unchanged. Union melds the heaps in O(1) and merges the smaller table into
   the larger, handling key collisions through the collected overlap list.
 
 best_edge ties always break toward the smaller key; priorities are compared
@@ -207,12 +208,16 @@ def _join2(l, r):
 
 
 def _build(items, lo: int, hi: int):
-    """Balanced tree over items[lo:hi], strictly increasing in key: the middle
-    item is the root, so sibling sizes (hence heights) differ by at most one."""
+    """Balanced tree over items[lo:hi], sorted by key: the middle item is the
+    root, so sibling sizes (hence heights) differ by at most one. Each index
+    is a middle once, so comparing it with its left neighbour in the whole
+    list finds every duplicate key."""
     if lo >= hi:
         return None
     mid = (lo + hi) // 2
     k, p = items[mid]
+    if mid and items[mid - 1][0] == k:
+        raise KeyError(f"insert: key {k} already present")
     t = _node(k, float(p))
     t.left = _build(items, lo, mid)
     t.right = _build(items, mid + 1, hi)
@@ -305,13 +310,8 @@ class TreeNeighborHeap:
     __slots__ = ("_root",)
 
     def __init__(self, items: Iterable[tuple[int, float]] = ()):
-        items = list(items)
-        if all(items[i][0] < items[i + 1][0] for i in range(len(items) - 1)):
-            self._root = _build(items, 0, len(items))
-            return
-        self._root = None
-        for k, p in items:
-            self.insert(k, float(p))
+        items = sorted(items)  # one linear pass when already sorted by key
+        self._root = _build(items, 0, len(items))
 
     def __len__(self) -> int:
         return self._root.size if self._root is not None else 0
@@ -502,8 +502,11 @@ class MeldNeighborHeap:
         return node.prio
 
     def update(self, key: int, prio: float) -> None:
-        if key not in self._tab:
+        node = self._tab.get(key)
+        if node is None:
             raise KeyError(f"update: key {key} absent")
+        if node.prio == prio:  # best_edge depends only on the priorities
+            return
         self.delete(key)
         self.insert(key, prio)
 

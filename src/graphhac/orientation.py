@@ -20,7 +20,11 @@ FlipFn = Callable[[int, int], None]  # flip(tail, head): edge now tail -> head
 
 
 class OrientationError(ValueError):
-    """The flip cascade did not settle: the cap is too small for the graph."""
+    """The flip cascade did not settle within `Orientation.flip_limit` flips.
+
+    This is a limit of the reorient-on-overflow scheme, not proof that no
+    orientation fits under the cap: K5 has one at cap 2 (a regular
+    tournament), yet the cascade cycles there. See ROADMAP item 4."""
 
 
 def default_cap(m0: int) -> int:
@@ -102,7 +106,9 @@ class Orientation:
                 guard += 1
                 if guard > self.flip_limit:
                     raise OrientationError(
-                        f"orientation cascade failed to settle under outdegree cap {self.cap}"
+                        f"orientation cascade did not settle within {self.flip_limit} "
+                        f"flips under outdegree cap {self.cap}; this scheme may need "
+                        "a larger cap even where an orientation under it exists"
                     )
 
     def delete_edge(self, u: int, v: int) -> None:

@@ -217,22 +217,19 @@ def test_refresh_out_edges_direct():
 
 
 @pytest.mark.parametrize("heap_impl", ["tree", "meld"])
-def test_refresh_out_edges_skips_true_entries(heap_impl, monkeypatch):
-    g = make_graph(4, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.25)])
+def test_refresh_out_edges_keeps_true_entries(heap_impl):
+    # star 0-{1,2,3}: only 0 -> 1 is out of the hub, and every entry is true
+    g = make_graph(4, [(0, 1, 1.0), (0, 2, 0.5), (0, 3, 0.25)])
     st = _AvgState(g, heap_impl)
     orient = Orientation(8)
-    for u, v in ((1, 3), (1, 2), (0, 1)):
+    for u, v, _w in g.edges:
         orient.insert_edge(u, v)
-    assert orient.out_neighbors(2) == [1]
-    st.merge_structural(0, 1, None)
-    refresh_out_edges(st, orient, 2)
-    writes = []
-    cls = type(st.heaps[2])
-    update = cls.update
-    monkeypatch.setattr(cls, "update", lambda h, k, p: writes.append(k) or update(h, k, p))
-    refresh_out_edges(st, orient, 2)  # every out-entry already holds its true priority
-    assert writes == []
-    assert st.heaps[2].get(1) == st.true_prio(2, 1)
+    assert orient.out_neighbors(0) == [1]
+    before = list(st.heaps[0].entries())
+    refresh_out_edges(st, orient, 0)
+    # a rewrite of an unchanged entry would move key 1 within meld's table
+    assert list(st.heaps[0].entries()) == before
+    assert st.heaps[0].get(1) == st.true_prio(0, 1)
 
 
 def test_exact_rejects_cap_below_edge_density():

@@ -33,6 +33,15 @@ def test_point_edits(cls):
 
 
 @pytest.mark.parametrize("cls", IMPLS)
+def test_update_to_same_priority_changes_nothing(cls):
+    h = cls([(1, 0.5), (2, 0.9), (3, 0.9)])
+    before = list(h.entries())
+    h.update(1, 0.5)  # meld would move key 1 to the end of its table on a rewrite
+    assert list(h.entries()) == before
+    assert h.best_edge() == (2, 0.9)
+
+
+@pytest.mark.parametrize("cls", IMPLS)
 def test_failed_edits_leave_heap_intact(cls):
     entries = [(k, k / 10.0) for k in (3, 1, 4, 15, 9, 2, 6)]
     h = cls(entries)
