@@ -11,10 +11,13 @@ own growth from invalidating its stored priorities.
   weight of every edge incident to the merged cluster and requeues it; the
   global queue is validated on pop by exact recomputation. Quadratic on
   dense-degree inputs by design; serves as the oracle for the other two.
-* exact_avg_hac: chain driver plus a bounded-outdegree orientation. The
+* exact_avg_hac: the chain loop shared with `chain_hac`
+  (`engine._chain_loop`) plus a bounded-outdegree orientation. The
   invariant is that every edge's entry in the heap of its head is true;
-  the few out-edges of a cluster are refreshed right before its BestEdge.
-* approx_avg_hac: heap driver with per-cluster staleness snapshots. A
+  the loop's `best` callback refreshes the few out-edges of a cluster
+  right before its BestEdge.
+* approx_avg_hac: the global-heap loop shared with `heap_hac`
+  (`engine._global_heap_loop`) with per-cluster staleness snapshots. A
   cluster whose size outgrows its snapshot by the internal factor (1+delta)
   rebuilds all incident edges; every merge rewrites the folded side's
   relabeled entries with true values. Yields an epsilon-close run with
@@ -27,9 +30,8 @@ import heapq
 import math
 
 from .dendrogram import Dendrogram, DendrogramBuilder
-from .engine import RunAudit, _global_heap_loop
+from .engine import HeapState, RunAudit, _chain_loop, _global_heap_loop
 from .graph import WeightedGraph
-from .heaps import new_heap
 from .orientation import Orientation, default_cap
 
 
@@ -91,25 +93,15 @@ def naive_avg_hac(graph: WeightedGraph, audit: RunAudit | None = None) -> Dendro
     return builder.finish([c for c in range(n) if active[c]])
 
 
-class _AvgState:
-    """Shared live state for the heap-backed average engines."""
+class _AvgState(HeapState):
+    """Shared live state for the heap-backed average engines. The initial
+    heap priority of each edge is its weight, since cut/|nbr| = w at size 1."""
 
     def __init__(self, graph: WeightedGraph, heap_impl: str):
-        self.n = graph.n
-        self.size = [1] * graph.n
-        self.active = [True] * graph.n
+        super().__init__(graph, heap_impl)
         self.cut: dict[tuple[int, int], float] = {
             (u, v): w for u, v, w in graph.edges
         }
-        adj = graph.adjacency()
-        # initial priority = cut/|nbr| = w since all sizes are 1
-        self.heaps = [
-            new_heap(heap_impl, sorted(adj[v].items())) for v in range(graph.n)
-        ]
-        self.builder = DendrogramBuilder(graph.n)
-
-    def degree(self, c: int) -> int:
-        return len(self.heaps[c])
 
     def true_weight(self, a: int, b: int) -> float:
         return self.cut[_pk(a, b)] / (self.size[a] * self.size[b])
@@ -123,19 +115,15 @@ class _AvgState:
     def merge_structural(
         self, a: int, b: int, audit: RunAudit | None
     ) -> tuple[int, int, list[int], list[int], float]:
-        """Fold the smaller-degree side of {a, b} into the other: move cut
+        """Fold one side of {a, b} into the other (`fold_order`): move cut
         sums, union the heaps, relabel the folded side's neighbors with true
         values written on both endpoints of every moved edge's relabel side.
 
         Returns (folded, survivor, folded's ex-neighbors, collision keys,
         merge weight)."""
-        deg_a, deg_b = self.degree(a), self.degree(b)
-        if (deg_a, a) < (deg_b, b):
-            folded, survivor = a, b
-        else:
-            folded, survivor = b, a
+        folded, survivor = self.fold_order(a, b)
         if audit is not None:
-            audit.merge_degrees.append((deg_a, deg_b))
+            audit.merge_degrees.append((self.degree(a), self.degree(b)))
         mw = self.true_weight(folded, survivor)
         self.heaps[folded].delete(survivor)
         self.heaps[survivor].delete(folded)
@@ -162,9 +150,6 @@ class _AvgState:
             self.heaps[c].upsert(survivor, cs / new_size)
         self.builder.record(folded, survivor, mw, new_size)
         return folded, survivor, nbrs, collisions, mw
-
-    def finish(self) -> Dendrogram:
-        return self.builder.finish([c for c in range(self.n) if self.active[c]])
 
 
 def refresh_out_edges(state: _AvgState, orient: Orientation, a: int) -> None:
@@ -203,16 +188,13 @@ def exact_avg_hac(
     audit: RunAudit | None = None,
 ) -> Dendrogram:
     """Chain-driver exact UPGMA with a dynamic bounded-outdegree orientation."""
-    n = graph.n
-    if n == 0:
-        raise ValueError("empty graph")
-    need = -(-graph.m // n)  # every edge has a tail: some outdegree is >= ceil(m/n)
+    st = _AvgState(graph, heap_impl)
+    need = -(-graph.m // graph.n)  # each edge has a tail: some outdegree >= ceil(m/n)
     if delta_cap is not None and delta_cap < need:
         raise ValueError(
             f"delta_cap {delta_cap} is below ceil(m/n) = {need} "
-            f"(m={graph.m}, n={n}): no orientation fits under it"
+            f"(m={graph.m}, n={graph.n}): no orientation fits under it"
         )
-    st = _AvgState(graph, heap_impl)
     cap = delta_cap if delta_cap is not None else default_cap(graph.m)
 
     def on_flip(tail: int, head: int) -> None:
@@ -231,8 +213,7 @@ def exact_avg_hac(
     def merge(x: int, y: int) -> int:
         # drop the folded side's orientation edges before any cut moves so
         # cascades during reinsertion never touch a dead cluster
-        deg_x, deg_y = st.degree(x), st.degree(y)
-        folded_pre = x if (deg_x, x) < (deg_y, y) else y
+        folded_pre, _ = st.fold_order(x, y)
         orient.delete_edge(x, y)
         pre_nbrs = [c for c in st.heaps[folded_pre].keys() if c != x and c != y]
         for c in pre_nbrs:
@@ -253,36 +234,11 @@ def exact_avg_hac(
                 _check_in_edges(st, orient)
         return survivor
 
-    worklist = list(range(n))
-    on_stack: set[int] = set()
-    i = 0
-    while i < len(worklist):
-        start = worklist[i]
-        i += 1
-        if not st.active[start] or st.degree(start) == 0:
-            continue
-        stack = [start]
-        on_stack.add(start)
-        if audit is not None:
-            audit.stack_pushes += 1
-        while stack:
-            t = stack[-1]
-            if st.degree(t) == 0:
-                on_stack.discard(stack.pop())
-                continue
-            refresh_out_edges(st, orient, t)
-            b, _p = st.heaps[t].best_edge()
-            if b in on_stack:
-                on_stack.discard(stack.pop())
-                partner = stack[-1]
-                survivor = merge(t, partner)
-                on_stack.discard(stack.pop())
-                worklist.append(survivor)
-            else:
-                stack.append(b)
-                on_stack.add(b)
-                if audit is not None:
-                    audit.stack_pushes += 1
+    def best(t: int) -> int:
+        refresh_out_edges(st, orient, t)
+        return st.heaps[t].best_edge()[0]
+
+    _chain_loop(graph.n, st.active, st.degree, best, merge, audit)
     if audit is not None:
         audit.orientation_events = orient.events
         audit.final_orientation = {
@@ -332,12 +288,9 @@ def approx_avg_hac(
     priorities of clusters other than a merge's survivor only fall, so the
     shared loop's skip of repeated keys keeps the merges unchanged (see
     `engine._global_heap_loop`)."""
-    n = graph.n
-    if n == 0:
-        raise ValueError("empty graph")
     delta = delta_from_epsilon(epsilon)
     st = _AvgState(graph, heap_impl)
-    stale_base = [1.0] * n  # size at the last full rebuild
+    stale_base = [1.0] * graph.n  # size at the last full rebuild
 
     def best(u: int) -> tuple[float, int, int] | None:
         try:
@@ -346,7 +299,7 @@ def approx_avg_hac(
             return None
         return -(p / st.size[u]), u, nbr
 
-    def merge(u: int, v: int, _w: float) -> int:
+    def merge(u: int, v: int) -> int:
         _folded, survivor, _nbrs, collisions, _mw = st.merge_structural(u, v, audit)
         for c in collisions:
             # parallel edges joined this cut: write the true value both ways
@@ -357,5 +310,5 @@ def approx_avg_hac(
             _check_sandwich(st, delta)
         return survivor
 
-    _global_heap_loop(n, st.active, best, merge)
+    _global_heap_loop(graph.n, st.active, best, merge)
     return st.finish()

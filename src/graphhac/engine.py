@@ -1,16 +1,20 @@
-"""Generic clustering framework for triangle-based linkages.
+"""Generic clustering framework: per-cluster neighbor heaps driven by a
+nearest-neighbor chain or by a global heap.
 
-Both drivers share the same merge primitive: the lower-degree cluster is
-folded into the higher-degree one, the two neighbor heaps are unioned with
-the linkage's combine, and every neighbor of the folded cluster relabels its
-entry to the survivor. The chain driver walks best-neighbor paths with a
-stack and merges reciprocal pairs; the heap driver keeps a global max-heap
-of per-cluster best edges and merges the current global maximum.
+`HeapState` is the state every heap-backed engine shares: active flags,
+sizes, one neighbor heap per cluster, the dendrogram builder and the fold
+rule `fold_order`. Each discipline has one loop, which drives its engines
+through `best` and `merge(a, b) -> survivor` callbacks:
 
-The global-heap loop itself (`_global_heap_loop`) is shared with the
-approximate average-linkage engine. It queues at most one copy of each
-cluster's current best edge: a re-push of a key the cluster already has
-queued is skipped, so a stale pop costs one push, not a new duplicate.
+* `_chain_loop` walks best-neighbor paths with a stack and merges reciprocal
+  pairs. It drives `chain_hac` and `average.exact_avg_hac`.
+* `_global_heap_loop` merges the maximum of a global heap of per-cluster
+  best edges, queued at most once per cluster. It drives `heap_hac` and
+  `average.approx_avg_hac`.
+
+For the triangle-based linkages `merge_clusters` unions the two neighbor
+heaps with the linkage's combine and relabels the folded cluster's
+neighbors to the survivor.
 """
 
 from __future__ import annotations
@@ -58,7 +62,37 @@ def merge_cost_bound(m: int) -> float:
     return 2.0 * m * (math.log2(2 * m) + 1.0) if m > 0 else 0.0
 
 
-class ClusterState:
+class HeapState:
+    """Live clusters of one heap-backed run: every vertex starts as an active
+    singleton whose neighbor heap holds its incident edge weights."""
+
+    def __init__(self, graph: WeightedGraph, heap_impl: str):
+        if graph.n == 0:
+            raise ValueError("empty graph")
+        self.n = graph.n
+        self.active = [True] * graph.n
+        self.size = [1] * graph.n
+        adj = graph.adjacency()
+        self.heaps = [
+            new_heap(heap_impl, sorted(adj[v].items())) for v in range(graph.n)
+        ]
+        self.builder = DendrogramBuilder(graph.n)
+
+    def degree(self, c: int) -> int:
+        return len(self.heaps[c])
+
+    def fold_order(self, a: int, b: int) -> tuple[int, int]:
+        """(folded, survivor) for a merge of a and b: the smaller degree is
+        folded, so a merge costs the smaller side; a tie folds the smaller id."""
+        if (len(self.heaps[a]), a) < (len(self.heaps[b]), b):
+            return a, b
+        return b, a
+
+    def finish(self) -> Dendrogram:
+        return self.builder.finish([c for c in range(self.n) if self.active[c]])
+
+
+class ClusterState(HeapState):
     """Live clustering over a graph for one triangle-based linkage run."""
 
     def __init__(self, graph: WeightedGraph, kind: str, heap_impl: str = "tree"):
@@ -66,20 +100,10 @@ class ClusterState:
             raise LinkageError(
                 f"{kind!r} is not triangle-based; use the average-linkage engines"
             )
-        self.n = graph.n
+        super().__init__(graph, heap_impl)
         self.kind = kind
         self.combine = combine_fn(kind)
-        self.active = [True] * graph.n
-        self.size = [1] * graph.n
-        adj = graph.adjacency()
-        self.heaps = [
-            new_heap(heap_impl, sorted(adj[v].items())) for v in range(graph.n)
-        ]
-        self.total_edges = [len(adj[v]) for v in range(graph.n)]
-        self.builder = DendrogramBuilder(graph.n)
-
-    def degree(self, c: int) -> int:
-        return len(self.heaps[c])
+        self.total_edges = [len(h) for h in self.heaps]
 
     def check_mirror(self) -> None:
         """Heaps of active clusters must mirror the contracted graph."""
@@ -100,25 +124,18 @@ def merge_clusters(
     state: ClusterState,
     a: int,
     b: int,
-    weight: float | None = None,
     audit: RunAudit | None = None,
 ) -> int:
-    """Fold the lower-degree cluster of {a, b} into the other; returns the
-    surviving cluster id. `weight` defaults to the stored weight of (a, b)."""
+    """Fold one cluster of {a, b} into the other (see `HeapState.fold_order`)
+    at the stored weight of (a, b); returns the surviving cluster id."""
     if not (state.active[a] and state.active[b]):
         raise ValueError(f"merge of inactive cluster: ({a},{b})")
-    w_ab = state.heaps[a].get(b)
-    if w_ab is None or state.heaps[b].get(a) is None:
+    weight = state.heaps[a].get(b)
+    if weight is None or state.heaps[b].get(a) is None:
         raise ValueError(f"no mutual edge between {a} and {b}")
-    if weight is None:
-        weight = w_ab
-    deg_a, deg_b = state.degree(a), state.degree(b)
-    if (deg_a, a) < (deg_b, b):  # fold smaller degree; tie folds smaller id
-        folded, survivor = a, b
-    else:
-        folded, survivor = b, a
+    folded, survivor = state.fold_order(a, b)
     if audit is not None:
-        audit.merge_degrees.append((deg_a, deg_b))
+        audit.merge_degrees.append((state.degree(a), state.degree(b)))
 
     state.heaps[folded].delete(survivor)
     state.heaps[survivor].delete(folded)
@@ -137,8 +154,60 @@ def merge_clusters(
     return survivor
 
 
-def _finish(state: ClusterState) -> Dendrogram:
-    return state.builder.finish([c for c in range(state.n) if state.active[c]])
+def _merger(state: ClusterState, audit: RunAudit | None) -> Callable[[int, int], int]:
+    """The `merge(a, b) -> survivor` callback of `chain_hac` and `heap_hac`."""
+    return lambda a, b: merge_clusters(state, a, b, audit)
+
+
+def _chain_loop(
+    n: int,
+    active: list[bool],
+    degree: Callable[[int], int],
+    best: Callable[[int], int],
+    merge: Callable[[int, int], int],
+    audit: RunAudit | None,
+) -> None:
+    """Nearest-neighbor-chain driver: grow a stack of best neighbors until
+    the top's best neighbor is on it, then merge that reciprocal pair.
+
+    `best(t)` returns the id of t's best neighbor; `merge(a, b)` returns
+    the survivor, which is queued as a later chain start. Under a strict tie
+    rule the only stacked best neighbor can be the entry below the top. The
+    chain's merges are the greedy ones when the linkage is reducible
+    (Müllner, arXiv 1109.2378). Each push is popped once, two per merge or
+    one per component root, so an audit asserts at most 2n - 1 pushes.
+    """
+    worklist = list(range(n))
+    on_stack: set[int] = set()
+    i = 0
+    while i < len(worklist):
+        start = worklist[i]
+        i += 1
+        if not active[start] or degree(start) == 0:
+            continue
+        stack = [start]
+        on_stack.add(start)
+        if audit is not None:
+            audit.stack_pushes += 1
+        while stack:
+            t = stack[-1]
+            if degree(t) == 0:  # finished component root
+                on_stack.discard(stack.pop())
+                continue
+            b = best(t)
+            if b in on_stack:
+                on_stack.discard(stack.pop())
+                partner = stack[-1]
+                survivor = merge(t, partner)
+                on_stack.discard(stack.pop())
+                worklist.append(survivor)
+            else:
+                stack.append(b)
+                on_stack.add(b)
+                if audit is not None:
+                    audit.stack_pushes += 1
+    if audit is not None:
+        assert audit.stack_pushes <= 2 * n - 1, "stack discipline violated"
 
 
 def chain_hac(
@@ -150,57 +219,28 @@ def chain_hac(
 ) -> Dendrogram:
     """Nearest-neighbor-chain driver. Merges happen only between clusters
     that are mutual best neighbors under the (max weight, min id) tie rule."""
-    if graph.n == 0:
-        raise ValueError("empty graph")
     state = ClusterState(graph, kind, heap_impl)
-    worklist = list(range(graph.n))
-    on_stack: set[int] = set()
-    i = 0
-    while i < len(worklist):
-        start = worklist[i]
-        i += 1
-        if not state.active[start] or state.degree(start) == 0:
-            continue
-        stack = [start]
-        on_stack.add(start)
-        if audit is not None:
-            audit.stack_pushes += 1
-        while stack:
-            t = stack[-1]
-            if state.degree(t) == 0:  # finished component root
-                on_stack.discard(stack.pop())
-                continue
-            b, _w = state.heaps[t].best_edge()
-            if b in on_stack:
-                on_stack.discard(stack.pop())
-                partner = stack[-1]
-                w = state.heaps[t].get(partner)
-                survivor = merge_clusters(state, t, partner, w, audit)
-                on_stack.discard(stack.pop())
-                worklist.append(survivor)
-            else:
-                stack.append(b)
-                on_stack.add(b)
-                if audit is not None:
-                    audit.stack_pushes += 1
-    if audit is not None:
-        assert audit.stack_pushes <= 2 * graph.n - 1, "stack discipline violated"
-        if audit.check_total_edges:
-            state.check_total_edges(graph.m)
-    return _finish(state)
+
+    def best(t: int) -> int:
+        return state.heaps[t].best_edge()[0]
+
+    _chain_loop(graph.n, state.active, state.degree, best, _merger(state, audit), audit)
+    if audit is not None and audit.check_total_edges:
+        state.check_total_edges(graph.m)
+    return state.finish()
 
 
 def _global_heap_loop(
     n: int,
     active: list[bool],
     best: Callable[[int], tuple[float, int, int] | None],
-    merge: Callable[[int, int, float], int],
+    merge: Callable[[int, int], int],
 ) -> None:
     """Lazy global-heap driver: repeatedly merge the best cluster pair.
 
     `best(u)` returns the heap key `(-w, u, nbr)` of u's current best edge
     (weight w to neighbor nbr), or None when u has no edges left;
-    `merge(u, v, w)` merges u and v and returns the survivor. A popped key
+    `merge(u, v)` merges u and v and returns the survivor. A popped key
     of an active u that equals `best(u)` merges u and nbr, then queues the
     survivor's best key; any other popped key of an active u is stale and
     queues `best(u)` instead.
@@ -249,7 +289,7 @@ def _global_heap_loop(
             queued[u] = None
         e = best(u)
         if e == item:  # u's heap holds only active clusters, so nbr is active
-            u = merge(u, item[2], -item[0])
+            u = merge(u, item[2])
             e = best(u)
         if e is not None and e != queued[u]:
             queued[u] = e
@@ -267,8 +307,6 @@ def heap_hac(
     endpoint went inactive, or that no longer match their cluster's current
     best edge, are replaced by the cluster's current best edge, queued at
     most once per cluster (see `_global_heap_loop`)."""
-    if graph.n == 0:
-        raise ValueError("empty graph")
     state = ClusterState(graph, kind, heap_impl)
 
     def best(c: int) -> tuple[float, int, int] | None:
@@ -278,10 +316,7 @@ def heap_hac(
             return None
         return -w, c, nbr
 
-    def merge(u: int, v: int, w: float) -> int:
-        return merge_clusters(state, u, v, w, audit)
-
-    _global_heap_loop(graph.n, state.active, best, merge)
+    _global_heap_loop(graph.n, state.active, best, _merger(state, audit))
     if audit is not None and audit.check_total_edges:
         state.check_total_edges(graph.m)
-    return _finish(state)
+    return state.finish()

@@ -20,9 +20,12 @@ def random_connected_graph(
     n: int | None = None,
     max_n: int = 64,
     max_m: int = 256,
+    *,
+    m: int | None = None,
 ) -> WeightedGraph:
     """Connected graph with i.i.d. uniform weights, guaranteed free of exact
-    weight ties. A random spanning tree plus random extra edges."""
+    weight ties. A random spanning tree plus random extra edges: exactly `m`
+    edges when given, else a uniform draw between n - 1 and max_m."""
     rng = random.Random(seed)
     if n is None:
         n = rng.randint(4, max_n)
@@ -30,8 +33,13 @@ def random_connected_graph(
     for v in range(1, n):
         u = rng.randrange(v)
         edges.add((u, v))
-    cap = min(max_m, n * (n - 1) // 2)
-    target_m = rng.randint(len(edges), cap) if cap > len(edges) else len(edges)
+    if m is not None:
+        if not n - 1 <= m <= n * (n - 1) // 2:
+            raise ValueError(f"m={m} is outside [n-1, n(n-1)/2] for n={n}")
+        target_m = m
+    else:
+        cap = min(max_m, n * (n - 1) // 2)
+        target_m = rng.randint(len(edges), cap) if cap > len(edges) else len(edges)
     while len(edges) < target_m:
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
@@ -48,6 +56,7 @@ def random_connected_graph(
 
 
 def random_sparse_graph(seed: int, n: int, avg_degree: int = 8) -> WeightedGraph:
-    """Connected sparse benchmark instance with ~avg_degree*n/2 edges."""
+    """Connected sparse benchmark instance with avg_degree*n/2 edges (at
+    least a spanning tree, at most the complete graph)."""
     target_m = min(n * avg_degree // 2, n * (n - 1) // 2)
-    return random_connected_graph(seed, n=n, max_m=max(target_m, n - 1))
+    return random_connected_graph(seed, n=n, m=max(target_m, n - 1))

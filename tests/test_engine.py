@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from graphhac.average import approx_avg_hac
+from graphhac.average import approx_avg_hac, exact_avg_hac
 
 from graphhac.dendrogram import (
     Dendrogram,
@@ -185,6 +185,19 @@ def test_approx_tree_meld_identical_on_ties():
     for g in TIED_GRAPHS + HUB_STARS:
         tree = approx_avg_hac(g, 0.1, heap_impl="tree")
         assert approx_avg_hac(g, 0.1, heap_impl="meld").merges == tree.merges, g.n
+
+
+def test_chain_loop_tree_meld_identical_on_ties():
+    """Both engines on the shared chain loop: identical merges on either heap
+    on tie-heavy graphs, and the loop's audited stack bound holds for exact."""
+    for g in TIED_GRAPHS + HUB_STARS:
+        for kind in TRIANGLE_KINDS:
+            tree = chain_hac(g, kind, heap_impl="tree")
+            assert chain_hac(g, kind, heap_impl="meld").merges == tree.merges, (g.n, kind)
+        audit = RunAudit()
+        tree = exact_avg_hac(g, heap_impl="tree", audit=audit)
+        assert audit.stack_pushes <= 2 * g.n - 1
+        assert exact_avg_hac(g, heap_impl="meld").merges == tree.merges, g.n
 
 
 @pytest.mark.parametrize("heap_impl", HEAP_IMPLS)

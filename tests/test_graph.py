@@ -15,6 +15,7 @@ from graphhac.graph import (
     symmetrize,
     validate_graph,
 )
+from graphhac.instances import random_connected_graph, random_sparse_graph
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -198,3 +199,17 @@ def test_points_csv_round_trip(tmp_path):
     bad.write_text("1.0,2.0\n1.0,oops\n")
     with pytest.raises(GraphFormatError, match="line 2"):
         load_points_csv(bad)
+
+
+def test_random_sparse_graph_has_promised_edge_count():
+    for seed in range(6):
+        g = random_sparse_graph(seed, 2000)
+        assert g.m == 8000, (seed, g.m)
+        validate_graph(g)
+
+
+def test_random_connected_graph_rejects_impossible_edge_count():
+    with pytest.raises(ValueError):
+        random_connected_graph(0, n=4, m=7)
+    with pytest.raises(ValueError):
+        random_connected_graph(0, n=4, m=2)
