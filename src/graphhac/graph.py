@@ -10,6 +10,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+# parse_edge_list caps n = 1 + max id at 2 * m + ID_SLACK for m edges, so one
+# stray huge id cannot size every per-vertex list of the engines.
+ID_SLACK = 2**20
+
 
 class GraphFormatError(ValueError):
     """Malformed edge-list / point input. Carries a 1-based line number when known."""
@@ -89,8 +93,10 @@ def parse_edge_list(
 
     Lines are "u v w" (weighted) or "u v" (unweighted, weight fixed at the
     1.0 placeholder pending reweighting). '#' starts a comment line. Vertex
-    ids are non-negative integers; n = 1 + max id. duplicate_policy is
-    "error" or "max" (combine repeated unordered pairs by max weight).
+    ids are non-negative integers; n = 1 + max id, which may not exceed
+    2 * m + ID_SLACK (ValueError), so n stays proportional to the input.
+    duplicate_policy is "error" or "max" (combine repeated unordered pairs by
+    max weight).
     """
     if duplicate_policy not in ("error", "max"):
         raise ValueError(f"unknown duplicate policy {duplicate_policy!r}")
@@ -132,6 +138,12 @@ def parse_edge_list(
         else:
             pairs[key] = w
         max_id = max(max_id, u, v)
+    bound = 2 * len(pairs) + ID_SLACK
+    if max_id + 1 > bound:
+        raise ValueError(
+            f"max vertex id {max_id} gives n = {max_id + 1} vertices, above the "
+            f"bound 2 * m + {ID_SLACK} = {bound} for m = {len(pairs)} edges"
+        )
     return make_graph(max_id + 1, ((u, v, w) for (u, v), w in pairs.items()))
 
 

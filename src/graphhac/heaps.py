@@ -11,18 +11,22 @@ Two interchangeable representations with identical observable behavior:
   that path; delete joins the node's children through a single _split_last
   of the left child. Update changes no shape, so it recomputes only maxp,
   from the node up to the first unchanged ancestor: O(log d) at worst.
-* MeldNeighborHeap: a pairing heap (max order: priority, then smaller key)
-  plus a hash table mapping key -> heap node, so point edits find their node
-  in O(1). Update is delete + insert, skipped when the priority is
-  unchanged. Union melds the heaps in O(1) and merges the smaller table into
-  the larger, handling key collisions through the collected overlap list.
+* MeldNeighborHeap: a hash table key -> priority, which is the truth, plus a
+  `heapq` list of (-priority, key) entries that is cleaned lazily: a write
+  pushes an entry, delete only touches the table, and BestEdge pops entries
+  that no longer match the table. The list is rebuilt from the table once it
+  outgrows twice the table, so point edits cost amortized O(log d). Union
+  writes the smaller table into the larger and pushes each written key:
+  O(s log l) for sizes s <= l.
 
 best_edge ties always break toward the smaller key; priorities are compared
-exactly (no epsilons inside the structure).
+exactly (no epsilons inside the structure). entries() runs in key order on
+the tree and in table order on the meld heap.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator
 
 # Binary combine applied when a key occurs in both operands of union/relabel.
@@ -32,6 +36,11 @@ CombineFn = Callable[[float, float], float]
 HEAP_IMPLS = ("tree", "meld")
 
 _MISSING = object()
+
+# MeldNeighborHeap rebuilds its lazy list once it holds more than
+# 2 * len(table) + _SLACK entries; the slack keeps tiny heaps from rebuilding
+# on every other edit.
+_SLACK = 16
 
 
 class _TreeOps:
@@ -398,67 +407,34 @@ class TreeNeighborHeap:
         return [k for k, _ in self.entries()]
 
 
-class _PNode:
-    __slots__ = ("key", "prio", "child", "next", "prev")
-
-    def __init__(self, key: int, prio: float):
-        self.key = key
-        self.prio = prio
-        self.child = None
-        self.next = None
-        self.prev = None  # previous sibling, or parent if leftmost child
-
-
-def _dominates(a, b) -> bool:
-    return a.prio > b.prio or (a.prio == b.prio and a.key < b.key)
-
-
-def _meld(a, b):
-    if _dominates(b, a):
-        a, b = b, a
-    b.prev = a
-    b.next = a.child
-    if a.child is not None:
-        a.child.prev = b
-    a.child = b
-    return a
-
-
-def _merge_pairs(first):
-    """Two-pass pairing over a sibling list; returns the combined root."""
-    melds = []
-    node = first
-    while node is not None:
-        a = node
-        b = node.next
-        node = b.next if b is not None else None
-        a.prev = a.next = None
-        if b is not None:
-            b.prev = b.next = None
-            melds.append(_meld(a, b))
-        else:
-            melds.append(a)
-    root = melds[-1]
-    for h in reversed(melds[:-1]):
-        root = _meld(root, h)
-    return root
-
-
 class MeldNeighborHeap:
-    """Pairing heap + table representation.
+    """Hash table + lazily cleaned binary heap (the lazy-deletion priority
+    queue of the Python `heapq` docs).
 
-    The table maps key -> heap node, standing in for the "pointer to the
-    location" companion structure; union returns the overlap keys' merged
-    values through fresh node insertions.
+    `_tab` maps key -> priority and is the truth. `_heap` is a `heapq` list
+    of `(-prio, key)`; an entry is live iff `_tab.get(key) == -prio`, so
+    tuple order gives max priority, then smaller key. Every key in `_tab` has
+    a live entry: a write pushes one, delete only pops the table, and
+    best_edge discards dead entries as they reach the top. Once the list
+    outgrows twice the table (plus `_SLACK`) it is rebuilt from the table,
+    so it holds O(live entries) and point edits cost amortized O(log d).
+    Union writes the smaller table into the larger and pushes each written
+    key: O(s log l) for sizes s <= l. entries() runs in table order.
     """
 
-    __slots__ = ("_root", "_tab")
+    __slots__ = ("_tab", "_heap")
 
     def __init__(self, items: Iterable[tuple[int, float]] = ()):
-        self._root = None
-        self._tab: dict[int, _PNode] = {}
-        for k, p in items:
-            self.insert(k, float(p))
+        items = list(items)
+        self._tab = {k: float(p) for k, p in items}
+        if len(self._tab) != len(items):
+            raise KeyError("insert: duplicate key in items")
+        self._compact()
+
+    def _compact(self) -> None:
+        heap = [(-p, k) for k, p in self._tab.items()]
+        heapify(heap)
+        self._heap = heap
 
     def __len__(self) -> int:
         return len(self._tab)
@@ -467,94 +443,85 @@ class MeldNeighborHeap:
         return key in self._tab
 
     def get(self, key: int) -> float | None:
-        node = self._tab.get(key)
-        return None if node is None else node.prio
+        return self._tab.get(key)
 
     def insert(self, key: int, prio: float) -> None:
-        if key in self._tab:
+        tab = self._tab
+        if key in tab:
             raise KeyError(f"insert: key {key} already present")
-        node = _PNode(key, prio)
-        self._tab[key] = node
-        self._root = node if self._root is None else _meld(self._root, node)
-
-    def _remove_node(self, node) -> None:
-        if node is self._root:
-            self._root = _merge_pairs(node.child) if node.child is not None else None
-            node.child = None
-            return
-        # unlink from sibling list
-        if node.prev.child is node:
-            node.prev.child = node.next
-        else:
-            node.prev.next = node.next
-        if node.next is not None:
-            node.next.prev = node.prev
-        node.prev = node.next = None
-        if node.child is not None:
-            self._root = _meld(self._root, _merge_pairs(node.child))
-            node.child = None
-
-    def delete(self, key: int) -> float:
-        node = self._tab.pop(key, None)
-        if node is None:
-            raise KeyError(f"delete: key {key} absent")
-        self._remove_node(node)
-        return node.prio
+        tab[key] = prio
+        heappush(self._heap, (-prio, key))
+        if len(self._heap) > 2 * len(tab) + _SLACK:
+            self._compact()
 
     def update(self, key: int, prio: float) -> None:
-        node = self._tab.get(key)
-        if node is None:
+        tab = self._tab
+        old = tab.get(key)
+        if old is None:
             raise KeyError(f"update: key {key} absent")
-        if node.prio == prio:  # best_edge depends only on the priorities
+        if old == prio:  # best_edge depends only on the priorities
             return
-        self.delete(key)
-        self.insert(key, prio)
+        tab[key] = prio
+        heappush(self._heap, (-prio, key))
+        if len(self._heap) > 2 * len(tab) + _SLACK:
+            self._compact()
 
     def upsert(self, key: int, prio: float) -> None:
-        if key in self._tab:
-            self.delete(key)
-        self.insert(key, prio)
+        tab = self._tab
+        if tab.get(key) == prio:
+            return
+        tab[key] = prio
+        heappush(self._heap, (-prio, key))
+        if len(self._heap) > 2 * len(tab) + _SLACK:
+            self._compact()
+
+    def delete(self, key: int) -> float:
+        tab = self._tab
+        prio = tab.pop(key, None)
+        if prio is None:
+            raise KeyError(f"delete: key {key} absent")
+        if len(self._heap) > 2 * len(tab) + _SLACK:
+            self._compact()
+        return prio
 
     def best_edge(self) -> tuple[int, float]:
-        if self._root is None:
-            raise KeyError("best_edge on empty heap")
-        return self._root.key, self._root.prio
+        heap, tab = self._heap, self._tab
+        while heap:
+            negp, key = heap[0]
+            if tab.get(key) == -negp:
+                return key, -negp
+            heappop(heap)
+        raise KeyError("best_edge on empty heap")
 
     def union(self, other: "MeldNeighborHeap", combine: CombineFn) -> "MeldNeighborHeap":
         """Destructive on both operands; returns the merged heap."""
         small, large = (self, other) if len(self) <= len(other) else (other, self)
-        overlap = [(k, n) for k, n in small._tab.items() if k in large._tab]
-        for key, snode in overlap:
-            lnode = large._tab[key]
-            merged = combine(lnode.prio, snode.prio)
-            del small._tab[key]
-            small._remove_node(snode)
-            del large._tab[key]
-            large._remove_node(lnode)
-            large.insert(key, merged)
-        large._tab.update(small._tab)
-        if small._root is not None:
-            large._root = (
-                small._root if large._root is None else _meld(large._root, small._root)
-            )
+        tab, heap = large._tab, large._heap
+        for key, prio in small._tab.items():
+            lp = tab.get(key)
+            if lp is not None:
+                prio = combine(lp, prio)
+            tab[key] = prio
+            heappush(heap, (-prio, key))
         small._tab = {}
-        small._root = None
+        small._heap = []
+        if len(heap) > 2 * len(tab) + _SLACK:
+            large._compact()
         return large
 
     def relabel(self, old_key: int, new_key: int, combine: CombineFn) -> None:
         prio = self.delete(old_key)
-        ex = self.get(new_key)
+        ex = self._tab.get(new_key)
         if ex is None:
             self.insert(new_key, prio)
         else:
             self.update(new_key, combine(ex, prio))
 
     def entries(self) -> Iterator[tuple[int, float]]:
-        for k, node in self._tab.items():
-            yield k, node.prio
+        return iter(self._tab.items())
 
     def keys(self) -> list[int]:
-        return list(self._tab.keys())
+        return list(self._tab)
 
 
 NeighborHeap = TreeNeighborHeap | MeldNeighborHeap

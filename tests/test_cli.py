@@ -177,6 +177,20 @@ def test_exit_code_delta_cap_below_edge_density(tmp_path, capsys):
     assert not (tmp_path / "d.tsv").exists()
 
 
+def test_exit_code_huge_vertex_id(tmp_path, capsys):
+    inp = tmp_path / "huge.wel"
+    inp.write_text("0 4000000000 1.0\n")
+    out = tmp_path / "d.tsv"
+    t0 = time.perf_counter()
+    assert run_cli(
+        ["hac", "--linkage", "single", "--input", str(inp), "--output", str(out)]
+    ) == 5
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "4000000000" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exit_code_label_mismatch(tmp_path):
     inp = tmp_path / "g.wel"
     inp.write_text(PATH_EDGES)

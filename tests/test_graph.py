@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphhac.graph import (
+    ID_SLACK,
     GraphFormatError,
     PointSet,
     build_knn_graph,
@@ -51,6 +52,17 @@ def test_parse_duplicate_policies():
         parse_edge_list("0 1 0.5\n1 0 0.7")
     g = parse_edge_list("0 1 0.5\n1 0 0.7", duplicate_policy="max")
     assert g.edges == ((0, 1, 0.7),)
+
+
+def test_parse_rejects_vertex_ids_above_edge_bound():
+    # n = 1 + max id may reach 2 * m + ID_SLACK and no further
+    top = 2 * 2 + ID_SLACK - 1
+    assert parse_edge_list(f"0 1 0.5\n1 {top} 0.5").n == top + 1
+    with pytest.raises(ValueError, match=f"max vertex id {top + 1} .* bound") as exc:
+        parse_edge_list(f"0 1 0.5\n1 {top + 1} 0.5")
+    assert not isinstance(exc.value, GraphFormatError)
+    with pytest.raises(ValueError, match="4000000000"):
+        parse_edge_list("0 4000000000 1.0")
 
 
 def test_parse_unweighted_placeholder():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphhac.heaps import (
+    _SLACK,
     TREE_OPS,
     MeldNeighborHeap,
     TreeNeighborHeap,
@@ -36,7 +37,7 @@ def test_point_edits(cls):
 def test_update_to_same_priority_changes_nothing(cls):
     h = cls([(1, 0.5), (2, 0.9), (3, 0.9)])
     before = list(h.entries())
-    h.update(1, 0.5)  # meld would move key 1 to the end of its table on a rewrite
+    h.update(1, 0.5)  # a no-op: meld pushes no entry, the tree touches no node
     assert list(h.entries()) == before
     assert h.best_edge() == (2, 0.9)
 
@@ -100,36 +101,53 @@ def test_relabel(cls):
 
 
 def _apply_op(heaps, op):
-    """Apply one random op to parallel (tree, meld) heaps, oracle dict in [2]."""
+    """Apply one random op to parallel (tree, meld) heaps, oracle dict in [2];
+    returns the triple, which a union replaces."""
     tree, meld, oracle = heaps
     kind = op[0]
     if kind == "insert":
         _, k, p = op
         if k in oracle:
-            return
+            return heaps
         tree.insert(k, p)
         meld.insert(k, p)
         oracle[k] = p
     elif kind == "update":
         _, k, p = op
         if k not in oracle:
-            return
+            return heaps
         tree.update(k, p)
         meld.update(k, p)
+        oracle[k] = p
+    elif kind == "upsert":
+        _, k, p = op
+        tree.upsert(k, p)
+        meld.upsert(k, p)
         oracle[k] = p
     elif kind == "delete":
         _, k = op
         if k not in oracle:
-            return
+            return heaps
         assert tree.delete(k) == meld.delete(k) == oracle.pop(k)
     elif kind == "relabel":
         _, old, new = op
         if old not in oracle or old == new:
-            return
+            return heaps
         tree.relabel(old, new, max)
         meld.relabel(old, new, max)
         p = oracle.pop(old)
         oracle[new] = max(oracle[new], p) if new in oracle else p
+    elif kind == "union":
+        # self_first: the running heaps are the receiver, else the argument
+        _, items, self_first = op
+        other = (TreeNeighborHeap(items.items()), MeldNeighborHeap(items.items()))
+        if self_first:
+            tree, meld = tree.union(other[0], max), meld.union(other[1], max)
+        else:
+            tree, meld = other[0].union(tree, max), other[1].union(meld, max)
+        for k, p in items.items():
+            oracle[k] = max(oracle[k], p) if k in oracle else p
+    return tree, meld, oracle
 
 
 def _check_equal(heaps):
@@ -145,11 +163,18 @@ def _check_equal(heaps):
         assert best == (bk, bp)
 
 
+# Priorities are often drawn from a small tied set: exact ties, and a key
+# deleted and re-inserted at its old priority (the meld heap then holds two
+# entries for it that both look live).
+_prios = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0, 1, allow_nan=False))
+_keys = st.integers(0, 30)
 _ops = st.one_of(
-    st.tuples(st.just("insert"), st.integers(0, 30), st.floats(0, 1, allow_nan=False)),
-    st.tuples(st.just("update"), st.integers(0, 30), st.floats(0, 1, allow_nan=False)),
-    st.tuples(st.just("delete"), st.integers(0, 30)),
-    st.tuples(st.just("relabel"), st.integers(0, 30), st.integers(0, 30)),
+    st.tuples(st.just("insert"), _keys, _prios),
+    st.tuples(st.just("update"), _keys, _prios),
+    st.tuples(st.just("upsert"), _keys, _prios),
+    st.tuples(st.just("delete"), _keys),
+    st.tuples(st.just("relabel"), _keys, _keys),
+    st.tuples(st.just("union"), st.dictionaries(_keys, _prios, max_size=12), st.booleans()),
 )
 
 
@@ -158,7 +183,7 @@ _ops = st.one_of(
 def test_representations_equivalent_hypothesis(ops):
     heaps = (TreeNeighborHeap(), MeldNeighborHeap(), {})
     for op in ops:
-        _apply_op(heaps, op)
+        heaps = _apply_op(heaps, op)
         _check_equal(heaps)
 
 
@@ -190,11 +215,73 @@ def test_representations_equivalent_long_random_run():
             pools[other] = (TreeNeighborHeap(), MeldNeighborHeap(), {})
             _check_equal(pools[which])
             continue
-        _apply_op(pools[which], op)
+        pools[which] = _apply_op(pools[which], op)
         if step % 23 == 0:
             _check_equal(pools[which])
     for h in pools:
         _check_equal(h)
+
+
+def check_meld(h):
+    """The lazy list stays within 2 * len + _SLACK entries, and every key in
+    the table has an entry that matches it (so best_edge can find it)."""
+    assert len(h._heap) <= 2 * len(h) + _SLACK
+    assert {k for negp, k in h._heap if h._tab.get(k) == -negp} == set(h._tab)
+
+
+def test_meld_lazy_list_stays_proportional():
+    rng = random.Random(13)
+    pools = [(MeldNeighborHeap(), {}) for _ in range(4)]
+    for _ in range(6000):
+        i = rng.randrange(len(pools))
+        h, oracle = pools[i]
+        k, p = rng.randrange(60), rng.choice((rng.random(), 0.25, 0.5, 1.0))
+        r = rng.random()
+        if r < 0.2 and k not in oracle:
+            h.insert(k, p)
+            oracle[k] = p
+        elif r < 0.45 and k in oracle:
+            h.update(k, p)
+            oracle[k] = p
+        elif r < 0.6:
+            h.upsert(k, p)
+            oracle[k] = p
+        elif r < 0.8 and k in oracle:
+            assert h.delete(k) == oracle.pop(k)
+        elif r < 0.9 and k in oracle:
+            new = rng.randrange(60)
+            h.relabel(k, new, max)
+            old = oracle.pop(k)
+            oracle[new] = max(oracle[new], old) if new in oracle else old
+        elif r >= 0.97:
+            j = rng.randrange(len(pools))
+            if j == i:
+                continue
+            g, other = pools[j]
+            for key, v in other.items():
+                oracle[key] = max(oracle[key], v) if key in oracle else v
+            h = h.union(g, max) if rng.random() < 0.5 else g.union(h, max)
+            pools[i] = (h, oracle)
+            pools[j] = (MeldNeighborHeap(), {})
+        elif oracle:
+            bp = max(oracle.values())
+            assert h.best_edge() == (min(k for k, v in oracle.items() if v == bp), bp)
+        check_meld(h)
+        assert dict(h.entries()) == oracle
+
+
+def test_meld_deletes_alone_compact():
+    """Updates fill the lazy list with dead entries; deleting every key
+    afterwards, with no push and no best_edge, must still shrink it."""
+    h = MeldNeighborHeap((k, 0.5) for k in range(500))
+    for rep in range(3):
+        for k in range(500):
+            h.update(k, rep + k / 1000)
+            check_meld(h)
+    for k in range(500):
+        h.delete(k)
+        check_meld(h)
+    assert len(h) == 0
 
 
 def test_union_key_sets_match_map_merge_oracle():
