@@ -227,7 +227,7 @@ def test_refresh_out_edges_keeps_true_entries(heap_impl):
     assert orient.out_neighbors(0) == [1]
     before = list(st.heaps[0].entries())
     refresh_out_edges(st, orient, 0)
-    # a rewrite of an unchanged entry would move key 1 within meld's table
+    # rewriting an entry with its own priority leaves entries() as it was
     assert list(st.heaps[0].entries()) == before
     assert st.heaps[0].get(1) == st.true_prio(0, 1)
 

@@ -37,7 +37,7 @@ def test_point_edits(cls):
 def test_update_to_same_priority_changes_nothing(cls):
     h = cls([(1, 0.5), (2, 0.9), (3, 0.9)])
     before = list(h.entries())
-    h.update(1, 0.5)  # a no-op: meld pushes no entry, the tree touches no node
+    h.update(1, 0.5)  # meld skips the write and pushes no heap entry
     assert list(h.entries()) == before
     assert h.best_edge() == (2, 0.9)
 
