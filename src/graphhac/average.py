@@ -1,11 +1,14 @@
 """Average-linkage (UPGMA) engines.
 
-All three engines keep the raw cut sum of every live cluster edge in a
-shared table keyed by the unordered cluster-id pair, so the true similarity
-cut/( |A| * |B| ) is always a pure function of current sizes. Neighbor-heap
-priorities store cut/|B| for the entry of B in heap(A); the owner's 1/|A|
-factor is applied only when a weight is extracted, which keeps an owner's
-own growth from invalidating its stored priorities.
+All three engines keep the raw cut sum of every live cluster edge in
+per-cluster neighbor -> cut maps written on both endpoints (naive in its
+own `adj`, the heap engines in `_AvgState.cut`). A merge adds the folded
+cluster's map into the survivor's, since cut(A+B, C) = cut(A, C) +
+cut(B, C), so the true similarity cut/( |A| * |B| ) is always a pure
+function of current sizes. Neighbor-heap priorities store cut/|B| for the
+entry of B in heap(A); the owner's 1/|A| factor is applied only when a
+weight is extracted, which keeps an owner's own growth from invalidating
+its stored priorities.
 
 * naive_avg_hac: the eager baseline. After every merge it recomputes the
   weight of every edge incident to the merged cluster and requeues it; the
@@ -40,10 +43,6 @@ def delta_from_epsilon(epsilon: float) -> float:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     return math.sqrt(1.0 / (1.0 - epsilon)) - 1.0
-
-
-def _pk(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
 
 
 def _sum(a: float, b: float) -> float:
@@ -95,61 +94,60 @@ def naive_avg_hac(graph: WeightedGraph, audit: RunAudit | None = None) -> Dendro
 
 class _AvgState(HeapState):
     """Shared live state for the heap-backed average engines. The initial
-    heap priority of each edge is its weight, since cut/|nbr| = w at size 1."""
+    heap priority of each edge is its weight, since cut/|nbr| = w at size 1.
+    `cut[a][b]` is the raw cut sum of live edge (a, b), mirrored in
+    `cut[b][a]`; a folded cluster's row is empty."""
 
     def __init__(self, graph: WeightedGraph, heap_impl: str):
         super().__init__(graph, heap_impl)
-        self.cut: dict[tuple[int, int], float] = {
-            (u, v): w for u, v, w in graph.edges
-        }
+        self.cut: list[dict[int, float]] = graph.adjacency()
 
     def true_weight(self, a: int, b: int) -> float:
-        return self.cut[_pk(a, b)] / (self.size[a] * self.size[b])
+        return self.cut[a][b] / (self.size[a] * self.size[b])
 
     def true_prio(self, owner: int, nbr: int) -> float:
-        return self.cut[_pk(owner, nbr)] / self.size[nbr]
+        return self.cut[owner][nbr] / self.size[nbr]
 
     def stored_weight(self, owner: int, nbr: int) -> float:
         return self.heaps[owner].get(nbr) / self.size[owner]
 
     def merge_structural(
         self, a: int, b: int, audit: RunAudit | None
-    ) -> tuple[int, int, list[int], list[int], float]:
-        """Fold one side of {a, b} into the other (`fold_order`): move cut
-        sums, union the heaps, relabel the folded side's neighbors with true
-        values written on both endpoints of every moved edge's relabel side.
+    ) -> tuple[int, int, list[int], list[int]]:
+        """Fold one side of {a, b} into the other (`fold_order`): add the
+        folded row's cut sums into the survivor's row, union the heaps and
+        write each moved edge's true priority into its neighbor's heap.
 
-        Returns (folded, survivor, folded's ex-neighbors, collision keys,
-        merge weight)."""
+        Returns (folded, survivor, folded's ex-neighbors in increasing id
+        order, those of them that were also the survivor's neighbors)."""
         folded, survivor = self.fold_order(a, b)
         if audit is not None:
             audit.merge_degrees.append((self.degree(a), self.degree(b)))
-        mw = self.true_weight(folded, survivor)
-        self.heaps[folded].delete(survivor)
-        self.heaps[survivor].delete(folded)
-        self.cut.pop(_pk(folded, survivor))
-        nbrs = sorted(self.heaps[folded].keys())
+        heaps, cut = self.heaps, self.cut
+        row_f, row_s = cut[folded], cut[survivor]
+        mw = row_f.pop(survivor) / (self.size[folded] * self.size[survivor])
+        del row_s[folded]
+        heaps[folded].delete(survivor)
+        heaps[survivor].delete(folded)
+        self.size[survivor] = new_size = self.size[survivor] + self.size[folded]
+        self.active[folded] = False
+        nbrs = sorted(row_f)
         collisions: list[int] = []
         for c in nbrs:
-            cut_fc = self.cut.pop(_pk(folded, c))
-            key = _pk(survivor, c)
-            if key in self.cut:
-                self.cut[key] = cut_fc + self.cut[key]
+            row_c = cut[c]
+            cs = row_c.pop(folded)
+            if c in row_s:
+                cs += row_s[c]
                 collisions.append(c)
-            else:
-                self.cut[key] = cut_fc
-        self.size[survivor] += self.size[folded]
-        self.active[folded] = False
+            row_s[c] = row_c[survivor] = cs
+            heaps[c].delete(folded)
+            heaps[c].upsert(survivor, cs / new_size)
+        row_f.clear()
         # Union detects key collisions; collided priorities are rewritten with
         # true values by the callers (stale snapshots cannot be summed).
-        self.heaps[survivor] = self.heaps[folded].union(self.heaps[survivor], _sum)
-        new_size = self.size[survivor]
-        for c in nbrs:
-            cs = self.cut[_pk(survivor, c)]
-            self.heaps[c].delete(folded)
-            self.heaps[c].upsert(survivor, cs / new_size)
+        heaps[survivor] = heaps[folded].union(heaps[survivor], _sum)
         self.builder.record(folded, survivor, mw, new_size)
-        return folded, survivor, nbrs, collisions, mw
+        return folded, survivor, nbrs, collisions
 
 
 def refresh_out_edges(state: _AvgState, orient: Orientation, a: int) -> None:
@@ -169,8 +167,9 @@ def rebuild_cluster(
     """Write the true similarity of every edge incident to x into both
     endpoint heaps and reset x's staleness snapshot to its current size."""
     xsz = state.size[x]
+    row = state.cut[x]
     for c, prio in list(state.heaps[x].entries()):
-        cs = state.cut[_pk(x, c)]
+        cs = row[c]
         tp = cs / state.size[c]
         if prio != tp:  # prio is in hand: skipping saves the tree a descent
             state.heaps[x].update(c, tp)
@@ -211,15 +210,12 @@ def exact_avg_hac(
         orient.insert_edge(u, v)
 
     def merge(x: int, y: int) -> int:
-        # drop the folded side's orientation edges before any cut moves so
-        # cascades during reinsertion never touch a dead cluster
-        folded_pre, _ = st.fold_order(x, y)
+        folded, survivor, nbrs, _collisions = st.merge_structural(x, y, audit)
+        # drop the folded side's orientation edges before any reinsertion so
+        # cascades never touch a dead cluster; deletions never flip
         orient.delete_edge(x, y)
-        pre_nbrs = [c for c in st.heaps[folded_pre].keys() if c != x and c != y]
-        for c in pre_nbrs:
-            orient.delete_edge(folded_pre, c)
-        folded, survivor, nbrs, _collisions, _mw = st.merge_structural(x, y, audit)
-        assert folded == folded_pre
+        for c in nbrs:
+            orient.delete_edge(folded, c)
         for c in nbrs:
             st.heaps[survivor].update(c, st.true_prio(survivor, c))
             if not orient.has_edge(c, survivor):
@@ -248,24 +244,21 @@ def exact_avg_hac(
 
 
 def _check_in_edges(st: _AvgState, orient: Orientation) -> None:
-    """Every oriented edge's head must store the true priority for its tail."""
-    for (a, b) in list(st.cut.keys()):
-        if b in orient.out.get(a, ()):
-            tail, head = a, b
-        else:
-            tail, head = b, a
-        stored = st.heaps[head].get(tail)
-        true = st.true_prio(head, tail)
-        assert stored is not None and abs(stored - true) <= 1e-9 * max(
-            abs(true), 1e-300
-        ), f"in-edge ({tail}->{head}) stale: {stored} vs {true}"
+    """Every oriented edge's head must store exactly the true priority for
+    its tail: each write to that entry is `true_prio` of the current state."""
+    for a, row in enumerate(st.cut):
+        for b in row:
+            if a < b:  # each edge once
+                tail, head = (a, b) if b in orient.out.get(a, ()) else (b, a)
+                stored, true = st.heaps[head].get(tail), st.true_prio(head, tail)
+                assert stored == true, f"in-edge ({tail}->{head}) stale: {stored} vs {true}"
 
 
 def _check_sandwich(st: _AvgState, delta: float) -> None:
     """Stored weights bound true weights: (1+delta)^-2 * stored <= true <= stored."""
     lo = (1.0 + delta) ** -2
-    for (a, b) in list(st.cut.keys()):
-        for owner, nbr in ((a, b), (b, a)):
+    for owner, row in enumerate(st.cut):
+        for nbr in row:
             stored = st.stored_weight(owner, nbr)
             true = st.true_weight(owner, nbr)
             assert true <= stored * (1.0 + 1e-9), f"stored too small: {stored} < {true}"
@@ -300,7 +293,7 @@ def approx_avg_hac(
         return -(p / st.size[u]), u, nbr
 
     def merge(u: int, v: int) -> int:
-        _folded, survivor, _nbrs, collisions, _mw = st.merge_structural(u, v, audit)
+        _folded, survivor, _nbrs, collisions = st.merge_structural(u, v, audit)
         for c in collisions:
             # parallel edges joined this cut: write the true value both ways
             st.heaps[survivor].update(c, st.true_prio(survivor, c))

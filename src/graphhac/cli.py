@@ -78,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     hac.add_argument(
         "--driver",
         choices=["chain", "heap"],
-        default="chain",
-        help="driver for triangle-based linkages",
+        default=None,
+        help="driver for triangle-based linkages (default chain)",
     )
     hac.add_argument("--epsilon", type=float, default=None, help="avg-approx closeness")
     hac.add_argument("--delta-cap", type=int, default=None, help="avg-exact outdegree cap")
@@ -122,6 +122,8 @@ def _cmd_hac(args) -> int:
         raise UsageError("--epsilon only applies to --linkage avg-approx")
     if args.delta_cap is not None and kind != linkage.AVG_EXACT:
         raise UsageError("--delta-cap only applies to --linkage avg-exact")
+    if args.driver is not None and kind not in linkage.TRIANGLE_KINDS:
+        raise UsageError("--driver only applies to triangle-based linkages")
     g = load_edge_list(
         args.input, weighted=not args.unweighted, duplicate_policy=args.duplicates
     )
@@ -132,7 +134,7 @@ def _cmd_hac(args) -> int:
                             check_in_edges=True, check_sandwich=True) if args.audit else None
     t0 = time.perf_counter()
     if kind in linkage.TRIANGLE_KINDS:
-        run = engine.chain_hac if args.driver == "chain" else engine.heap_hac
+        run = engine.heap_hac if args.driver == "heap" else engine.chain_hac
         d = run(g, kind, heap_impl=args.heap_impl, audit=audit)
     elif kind == linkage.AVG_EXACT:
         d = average.exact_avg_hac(
@@ -191,6 +193,8 @@ def _bench_instance(kind: str, n: int, seed: int) -> WeightedGraph:
 
 
 def _cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     engines = {
         "naive": lambda g: average.naive_avg_hac(g),
         "exact": lambda g: average.exact_avg_hac(g),
@@ -228,6 +232,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_selftest(args) -> int:
     trials = args.trials
+    if trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {trials}")
     failures = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:

@@ -1,9 +1,12 @@
 import math
+from collections import defaultdict
 
 import pytest
+from test_engine import TIED_GRAPHS
 
 from graphhac.average import (
     _AvgState,
+    _check_in_edges,
     approx_avg_hac,
     delta_from_epsilon,
     exact_avg_hac,
@@ -16,7 +19,7 @@ from graphhac.engine import RunAudit
 from graphhac.evaluation import closeness_audit
 from graphhac.graph import make_graph
 from graphhac.instances import random_connected_graph, star_graph
-from graphhac.orientation import Orientation
+from graphhac.orientation import Orientation, default_cap
 from graphhac.reference import reference_hac
 
 TRIANGLE = make_graph(3, [(0, 1, 1.0), (1, 2, 0.5), (0, 2, 0.5)])
@@ -151,6 +154,61 @@ def test_exact_in_edge_invariant():
     for t in range(12):
         g = random_connected_graph(5000 + t, max_n=48)
         exact_avg_hac(g, audit=RunAudit(check_in_edges=True))
+
+
+def test_check_in_edges_is_bitwise():
+    # every write to a head's entry is true_prio itself, so one ulp is stale
+    g = random_connected_graph(5000, max_n=48)
+    st = _AvgState(g, "tree")
+    orient = Orientation(default_cap(g.m))
+    for u, v, _w in g.edges:
+        orient.insert_edge(u, v)
+    _check_in_edges(st, orient)
+    tail = next(a for a in range(g.n) if orient.out_neighbors(a))
+    head = orient.out_neighbors(tail)[0]
+    p = st.heaps[head].get(tail)
+    st.heaps[head].update(tail, math.nextafter(p, math.inf))
+    with pytest.raises(AssertionError, match="stale"):
+        _check_in_edges(st, orient)
+
+
+def test_exact_orientation_log_same_on_both_heaps(small_graphs):
+    # the folded side's edges are dropped in increasing id order on either heap
+    for g in small_graphs[:10]:
+        logs = []
+        for heap_impl in ("tree", "meld"):
+            audit = RunAudit()
+            exact_avg_hac(g, heap_impl=heap_impl, audit=audit)
+            logs.append((audit.orientation_events, audit.final_orientation, audit.flip_count))
+        assert logs[0] == logs[1], g.n
+
+
+@pytest.mark.parametrize("heap_impl", ["tree", "meld"])
+def test_cut_maps_mirror_contraction(heap_impl):
+    graphs = [random_connected_graph(8000 + t, max_n=32) for t in range(30)] + TIED_GRAPHS
+    for g in graphs:
+        st = _AvgState(g, heap_impl)
+        label = list(range(g.n))
+        while True:
+            a = next((c for c in range(g.n) if st.active[c] and st.cut[c]), None)
+            if a is None:
+                break
+            folded, survivor, _nbrs, _collisions = st.merge_structural(a, min(st.cut[a]), None)
+            label = [survivor if x == folded else x for x in label]
+            expected: defaultdict = defaultdict(float)
+            for u, v, w in g.edges:
+                if label[u] != label[v]:
+                    expected[label[u], label[v]] += w
+                    expected[label[v], label[u]] += w
+            for x in range(g.n):
+                if not st.active[x]:
+                    assert not st.cut[x], (g.n, x)
+                    continue
+                assert set(st.cut[x]) == set(st.heaps[x].keys())
+                for y, cs in st.cut[x].items():
+                    assert st.cut[y][x] == cs
+                    assert cs == pytest.approx(expected[x, y], rel=1e-12)
+            assert len(expected) == sum(len(row) for row in st.cut)
 
 
 def test_approx_sandwich_invariant():

@@ -163,6 +163,38 @@ def test_exit_code_bad_flag_combo(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("linkage", ["avg-exact", "avg-approx"])
+@pytest.mark.parametrize("driver", ["chain", "heap"])
+def test_exit_code_driver_with_average_linkage(tmp_path, capsys, linkage, driver):
+    # the average engines have fixed drivers: an explicit --driver is refused
+    inp = tmp_path / "g.wel"
+    inp.write_text(PATH_EDGES)
+    out = tmp_path / "d.tsv"
+    assert run_cli(
+        ["hac", "--linkage", linkage, "--driver", driver, "--input", str(inp),
+         "--output", str(out)]
+    ) == 2
+    assert "--driver" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["selftest", "--trials", "0"], "--trials"),
+        (["selftest", "--trials", "-3"], "--trials"),
+        (["bench", "--sizes", "20", "--reps", "0"], "--reps"),
+        (["bench", "--sizes", "20", "--reps", "-1"], "--reps"),
+    ],
+)
+def test_exit_code_repeat_count_below_one(capsys, args, flag):
+    # zero trials would print "ok" without checking anything; zero reps has no median
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "Traceback" not in captured.err
+    assert "ok" not in captured.out and "engine" not in captured.out
+
+
 def test_exit_code_delta_cap_below_edge_density(tmp_path, capsys):
     inp = tmp_path / "k4.wel"
     inp.write_text("".join(f"{u} {v} 1\n" for u in range(4) for v in range(u + 1, 4)))
