@@ -99,8 +99,8 @@ class _AvgState(HeapState):
     `cut[b][a]`; a folded cluster's row is empty."""
 
     def __init__(self, graph: WeightedGraph, heap_impl: str):
-        super().__init__(graph, heap_impl)
         self.cut: list[dict[int, float]] = graph.adjacency()
+        super().__init__(self.cut, heap_impl)
 
     def true_weight(self, a: int, b: int) -> float:
         return self.cut[a][b] / (self.size[a] * self.size[b])

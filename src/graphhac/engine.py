@@ -66,17 +66,15 @@ class HeapState:
     """Live clusters of one heap-backed run: every vertex starts as an active
     singleton whose neighbor heap holds its incident edge weights."""
 
-    def __init__(self, graph: WeightedGraph, heap_impl: str):
-        if graph.n == 0:
+    def __init__(self, adj: list[dict[int, float]], heap_impl: str):
+        """`adj` is the graph's `adjacency()`; it is only read."""
+        if not adj:
             raise ValueError("empty graph")
-        self.n = graph.n
-        self.active = [True] * graph.n
-        self.size = [1] * graph.n
-        adj = graph.adjacency()
-        self.heaps = [
-            new_heap(heap_impl, sorted(adj[v].items())) for v in range(graph.n)
-        ]
-        self.builder = DendrogramBuilder(graph.n)
+        self.n = n = len(adj)
+        self.active = [True] * n
+        self.size = [1] * n
+        self.heaps = [new_heap(heap_impl, sorted(row.items())) for row in adj]
+        self.builder = DendrogramBuilder(n)
 
     def degree(self, c: int) -> int:
         return len(self.heaps[c])
@@ -100,7 +98,7 @@ class ClusterState(HeapState):
             raise LinkageError(
                 f"{kind!r} is not triangle-based; use the average-linkage engines"
             )
-        super().__init__(graph, heap_impl)
+        super().__init__(graph.adjacency(), heap_impl)
         self.kind = kind
         self.combine = combine_fn(kind)
         self.total_edges = [len(h) for h in self.heaps]

@@ -9,8 +9,17 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dendrogram import Dendrogram
+from .dendrogram import Dendrogram, Merge
 from .graph import WeightedGraph
+
+
+_NOT_MONOTONE = "dendrogram weights are not monotone: cut is not a tree level"
+
+
+def _strongest_first(merges: Sequence[Merge]) -> list[int]:
+    """Merge indices by descending weight, stable on the recorded order: a
+    level with k clusters keeps the first n - k of them."""
+    return sorted(range(len(merges)), key=lambda i: -merges[i].weight)
 
 
 def cut_dendrogram(d: Dendrogram, target_clusters: int) -> list[int]:
@@ -28,8 +37,7 @@ def cut_dendrogram(d: Dendrogram, target_clusters: int) -> list[int]:
             f"cannot form {target_clusters} clusters: input has "
             f"{n - len(d.merges)} components"
         )
-    by_weight = sorted(range(len(d.merges)), key=lambda i: -d.merges[i].weight)
-    kept = sorted(by_weight[:keep])
+    kept = sorted(_strongest_first(d.merges)[:keep])
     kept_set = set(kept)
     parent = list(range(n + len(d.merges)))
     for i in kept:
@@ -37,9 +45,7 @@ def cut_dendrogram(d: Dendrogram, target_clusters: int) -> list[int]:
         for side in (m.left, m.right):
             if side >= n and side - n not in kept_set:
                 # every engine here emits monotone trees; reject others
-                raise ValueError(
-                    "dendrogram weights are not monotone: cut is not a tree level"
-                )
+                raise ValueError(_NOT_MONOTONE)
         parent[m.left] = parent[m.right] = n + i
 
     def find(x: int) -> int:
@@ -62,18 +68,9 @@ def _comb2(x: int) -> float:
     return x * (x - 1) / 2.0
 
 
-def ari(a: Sequence[int], b: Sequence[int]) -> float:
-    """Adjusted Rand index via the pair-counting contingency table.
-
-    1.0 iff the partitions are identical up to label permutation; 0 expected
-    for independent random partitions; symmetric."""
-    if len(a) != len(b):
-        raise ValueError(f"label length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    index = sum(_comb2(c) for c in Counter(zip(a, b)).values())
-    sum_a = sum(_comb2(c) for c in Counter(a).values())
-    sum_b = sum(_comb2(c) for c in Counter(b).values())
-    total = _comb2(n)
+def _ari_from_pairs(index: float, sum_a: float, sum_b: float, total: float) -> float:
+    """ARI from its pair counts: same-cell pairs, same-cluster pairs in each
+    partition, and all pairs."""
     expected = sum_a * sum_b / total if total else 0.0
     max_index = (sum_a + sum_b) / 2.0
     if max_index == expected:  # both partitions trivial, hence identical
@@ -81,24 +78,62 @@ def ari(a: Sequence[int], b: Sequence[int]) -> float:
     return (index - expected) / (max_index - expected)
 
 
+def ari(a: Sequence[int], b: Sequence[int]) -> float:
+    """Adjusted Rand index via the pair-counting contingency table.
+
+    1.0 iff the partitions are identical up to label permutation; 0 expected
+    for independent random partitions; symmetric."""
+    if len(a) != len(b):
+        raise ValueError(f"label length mismatch: {len(a)} vs {len(b)}")
+    index = sum(_comb2(c) for c in Counter(zip(a, b)).values())
+    sum_a = sum(_comb2(c) for c in Counter(a).values())
+    sum_b = sum(_comb2(c) for c in Counter(b).values())
+    return _ari_from_pairs(index, sum_a, sum_b, _comb2(len(a)))
+
+
+def _entropy_term(c: int, n: int) -> float:
+    return (c / n) * math.log(c / n)
+
+
+def _info_term(c: int, n: int, size_a: int, size_b: int) -> float:
+    return (c / n) * math.log(n * c / (size_a * size_b))
+
+
+def _nmi_from_sums(h_a: float, h_b: float, info: float) -> float:
+    denom = (h_a + h_b) / 2.0
+    if denom == 0.0:
+        return 0.0
+    return min(1.0, max(0.0, info / denom))
+
+
 def nmi(a: Sequence[int], b: Sequence[int]) -> float:
     """Mutual information normalized by the arithmetic mean of the two label
-    entropies; 0 by convention when both entropies vanish. In [0, 1]."""
+    entropies; 0 by convention when both entropies vanish. In [0, 1].
+
+    Each sum is `math.fsum`, correctly rounded, so the result does not
+    depend on the order of the labels."""
     if len(a) != len(b):
         raise ValueError(f"label length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
     ca, cb = Counter(a), Counter(b)
-    cab = Counter(zip(a, b))
-    h_a = -sum((c / n) * math.log(c / n) for c in ca.values())
-    h_b = -sum((c / n) * math.log(c / n) for c in cb.values())
-    denom = (h_a + h_b) / 2.0
-    if denom == 0.0:
-        return 0.0
-    info = sum(
-        (c / n) * math.log(n * c / (ca[x] * cb[y]))
-        for (x, y), c in cab.items()
+    h_a = -math.fsum(_entropy_term(c, n) for c in ca.values())
+    h_b = -math.fsum(_entropy_term(c, n) for c in cb.values())
+    info = math.fsum(
+        _info_term(c, n, ca[x], cb[y]) for (x, y), c in Counter(zip(a, b)).items()
     )
-    return min(1.0, max(0.0, info / denom))
+    return _nmi_from_sums(h_a, h_b, info)
+
+
+# Every finite double is a multiple of 2**-1074, so a sum of doubles scaled
+# by 2**1074 is an exact int, and int / int rounds correctly: the same double
+# `math.fsum` returns for those terms.
+_EXP = 1074
+_ONE = 1 << _EXP
+
+
+def _exact(x: float) -> int:
+    num, den = x.as_integer_ratio()
+    return num << (_EXP + 1 - den.bit_length())
 
 
 @dataclass(frozen=True)
@@ -116,28 +151,119 @@ def best_level_scores(
     levels: Sequence[int] | None = None,
 ) -> LevelScores:
     """Score every tree level (cluster count) against the ground truth and
-    report the maxima. `levels` restricts the sweep to a sampled subset."""
-    if len(ground_truth) != d.n:
-        raise ValueError(f"expected {d.n} labels, got {len(ground_truth)}")
-    n_components = d.n - len(d.merges)
-    if levels is None:
-        ks: Sequence[int] = range(n_components, d.n + 1)
-    else:
-        ks = sorted(set(levels))
-        if any(k < n_components or k > d.n for k in ks):
-            raise ValueError("sampled level outside the valid cluster counts")
-    table = []
-    best_a, best_a_at, best_n, best_n_at = -math.inf, 0, -math.inf, 0
+    report the maxima (the first, i.e. fewest clusters, on ties). `levels`
+    restricts the report to a sampled subset.
+
+    One sweep replays the merges in `cut_dendrogram`'s order (strongest
+    first, stable on the recorded index) on a union-find whose roots hold
+    truth-class counts, folding the smaller count map into the larger, and
+    updates the ARI pair counts and the exact NMI sums on the merged root
+    only: O(n log n + n*C) for C truth classes. Every row equals
+    `ari` / `nmi` of `cut_dendrogram` at that level, bit for bit."""
+    n = d.n
+    if len(ground_truth) != n:
+        raise ValueError(f"expected {n} labels, got {len(ground_truth)}")
+    merges = d.merges
+    n_components = n - len(merges)
+    ks = range(n_components, n + 1) if levels is None else sorted(set(levels))
+    if ks and (ks[0] < max(n_components, 1) or ks[-1] > n):
+        raise ValueError("sampled level outside the valid cluster counts")
+    wanted = bytearray(n + 1)
     for k in ks:
-        labels = cut_dendrogram(d, k)
-        a = ari(labels, ground_truth)
-        m = nmi(labels, ground_truth)
-        table.append((k, a, m))
+        wanted[k] = 1
+
+    class_size = Counter(ground_truth)
+    sum_b = float(sum(c * (c - 1) // 2 for c in class_size.values()))
+    h_b = -math.fsum(_entropy_term(c, n) for c in class_size.values())
+    total = _comb2(n)
+
+    def entropy_of(size: int) -> int:
+        return _exact(_entropy_term(size, n))
+
+    # Per node: size, truth-class counts and exact info sum of its cluster
+    # while it is a union-find root; merge nodes start empty.
+    parent = list(range(n + len(merges)))
+    size = [1] * n + [0] * len(merges)
+    counts: list[dict | None] = [{y: 1} for y in ground_truth]
+    counts += [None] * len(merges)
+    info = [_exact(_info_term(1, n, 1, class_size[y])) for y in ground_truth]
+    info += [0] * len(merges)
+    same_cell = same_cluster = 0  # pair counts
+    entropy_sum = n * entropy_of(1)
+    info_sum = sum(info)
+
+    # A merge applied before one of its child merges leaves the cut
+    # non-monotone until that child is applied (`cut_dendrogram` rejects it).
+    parent_merge = [-1] * len(merges)
+    for i, m in enumerate(merges):
+        for side in (m.left, m.right):
+            if side >= n:
+                parent_merge[side - n] = i
+    applied = bytearray(len(merges))
+    pending = 0
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    rows: dict[int, tuple[float, float]] = {}
+
+    def score(k: int) -> None:
+        if pending:
+            raise ValueError(_NOT_MONOTONE)
+        rows[k] = (
+            _ari_from_pairs(float(same_cell), float(same_cluster), sum_b, total),
+            _nmi_from_sums(-(entropy_sum / _ONE), h_b, info_sum / _ONE),
+        )
+
+    if wanted[n]:
+        score(n)
+    for k, i in zip(range(n - 1, -1, -1), _strongest_first(merges)):
+        node = n + i
+        for side in merges[i][:2]:
+            if side >= n and not applied[side - n]:
+                pending += 1
+        if parent_merge[i] >= 0 and applied[parent_merge[i]]:
+            pending -= 1
+        applied[i] = 1
+        root = find(node)
+        for side in merges[i][:2]:
+            parent[side] = node
+            s_side, s_root = size[side], size[root]
+            if s_side == 0:
+                continue
+            if s_root == 0:  # root is an empty merge node: adopt side's cluster
+                size[root], counts[root], info[root] = s_side, counts[side], info[side]
+                counts[side] = None
+                continue
+            big, small = counts[root], counts[side]
+            if len(big) < len(small):
+                big, small = small, big
+            for y, c in small.items():
+                held = big.get(y, 0)
+                same_cell += held * c
+                big[y] = held + c
+            same_cluster += s_root * s_side
+            merged = s_root + s_side
+            entropy_sum += entropy_of(merged) - entropy_of(s_root) - entropy_of(s_side)
+            new_info = sum(
+                _exact(_info_term(c, n, merged, class_size[y])) for y, c in big.items()
+            )
+            info_sum += new_info - info[root] - info[side]
+            size[root], counts[root], info[root] = merged, big, new_info
+            counts[side] = None
+        if wanted[k]:
+            score(k)
+
+    table = tuple((k, *rows[k]) for k in ks)
+    best_a, best_a_at, best_n, best_n_at = -math.inf, 0, -math.inf, 0
+    for k, a, m in table:
         if a > best_a:
             best_a, best_a_at = a, k
         if m > best_n:
             best_n, best_n_at = m, k
-    return LevelScores(best_a, best_a_at, best_n, best_n_at, tuple(table))
+    return LevelScores(best_a, best_a_at, best_n, best_n_at, table)
 
 
 @dataclass(frozen=True)

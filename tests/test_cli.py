@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from graphhac.cli import main
@@ -105,6 +106,35 @@ def test_eval_levels_flag(tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1].startswith("2\t")
+
+
+def test_eval_report_equals_per_level_path(tmp_path):
+    # the one-sweep scores must print exactly what cutting and rescoring
+    # every level prints, on a k-NN approx dendrogram of 300 blob points
+    from graphhac import cli, evaluation
+
+    rng = np.random.default_rng(3)
+    truth = np.arange(300) % 5
+    points = 3.0 * np.eye(5, 6)[truth] + rng.standard_normal((300, 6))
+    pts, labels = tmp_path / "p.csv", tmp_path / "l.txt"
+    pts.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in points))
+    labels.write_text("".join(f"{y}\n" for y in truth))
+    edges, dend, report = tmp_path / "g.wel", tmp_path / "d.tsv", tmp_path / "r.tsv"
+    assert run_cli(["knn-graph", "--k", "10", "--input", str(pts), "--output", str(edges)]) == 0
+    assert run_cli(["hac", "--linkage", "avg-approx", "--input", str(edges),
+                    "--output", str(dend)]) == 0
+    assert run_cli(["eval", "--dendrogram", str(dend), "--labels", str(labels),
+                    "--output", str(report)]) == 0
+
+    d, t = load_dendrogram(dend), truth.tolist()
+    table = []
+    for k in range(d.n - len(d.merges), d.n + 1):
+        cut = evaluation.cut_dendrogram(d, k)
+        table.append((k, evaluation.ari(cut, t), evaluation.nmi(cut, t)))
+    best_a = max(table, key=lambda row: (row[1], -row[0]))
+    best_m = max(table, key=lambda row: (row[2], -row[0]))
+    oracle = evaluation.LevelScores(best_a[1], best_a[0], best_m[2], best_m[0], tuple(table))
+    assert report.read_bytes() == cli._format_report(oracle).encode()
 
 
 def test_bench_tsv_shape(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphhac import evaluation
 from graphhac.average import approx_avg_hac, naive_avg_hac
 from graphhac.dendrogram import Dendrogram, Merge
 from graphhac.engine import chain_hac
@@ -197,6 +198,77 @@ def test_best_level_sampling():
     with pytest.raises(ValueError):
         best_level_scores(d, truth, levels=[0])
     assert full.best_ari >= sampled.best_ari - 1e-12
+
+
+@st.composite
+def dendrogram_truth_levels(draw):
+    """A random merge sequence (forest or tree, tied weights, weights not
+    monotone in merge order, n = 1 included), truth labels and a level
+    subset that may hold invalid counts."""
+    n = draw(st.integers(1, 14))
+    live, size, merges = list(range(n)), [1] * n, []
+    for i in range(draw(st.integers(0, n - 1))):
+        a = live.pop(draw(st.integers(0, len(live) - 1)))
+        b = live.pop(draw(st.integers(0, len(live) - 1)))
+        w = draw(st.sampled_from([0.25, 0.5, 0.5, 1.0]))
+        size.append(size[a] + size[b])
+        merges.append(Merge(a, b, w, size[-1]))
+        live.append(n + i)
+    d = Dendrogram(n, tuple(merges), tuple(sorted(live)))
+    truth = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    levels = draw(st.none() | st.lists(st.integers(0, n + 1), max_size=n + 2))
+    return d, truth, levels
+
+
+@settings(max_examples=400, deadline=None)
+@given(dendrogram_truth_levels())
+def test_best_level_sweep_equals_per_level_oracle(case):
+    d, truth, levels = case
+    lo = d.n - len(d.merges)
+    ks = range(lo, d.n + 1) if levels is None else sorted(set(levels))
+    oracle = []
+    try:
+        for k in ks:
+            labels = cut_dendrogram(d, k)
+            oracle.append((k, ari(labels, truth), nmi(labels, truth)))
+    except ValueError:
+        with pytest.raises(ValueError):
+            best_level_scores(d, truth, levels)
+        return
+    scores = best_level_scores(d, truth, levels)
+    assert scores.table == tuple(oracle)
+    if oracle:  # ties go to the fewest clusters
+        top_a = max(a for _, a, _ in oracle)
+        top_m = max(m for _, _, m in oracle)
+        assert scores.best_ari_at == min(k for k, a, _ in oracle if a == top_a)
+        assert scores.best_nmi_at == min(k for k, _, m in oracle if m == top_m)
+        assert (scores.best_ari, scores.best_nmi) == (top_a, top_m)
+
+
+def test_best_level_scores_skips_the_per_level_path(monkeypatch):
+    # a return to cutting and rescoring every level would call these
+    def refuse(*_args):
+        raise AssertionError("per-level path called")
+
+    for name in ("cut_dendrogram", "ari", "nmi"):
+        monkeypatch.setattr(evaluation, name, refuse)
+    n = 200
+    merges = tuple(Merge(0 if i == 0 else n + i - 1, i + 1, 1.0 / (i + 1), i + 2)
+                   for i in range(n - 1))
+    d = Dendrogram(n, merges, (2 * n - 2,))
+    scores = best_level_scores(d, [i % 4 for i in range(n)])
+    assert len(scores.table) == n
+
+
+def test_nmi_is_order_independent_bitwise():
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(2, 300)
+        a = [rng.randrange(rng.randint(1, 40)) for _ in range(n)]
+        b = [rng.randrange(rng.randint(1, 12)) for _ in range(n)]
+        p = list(range(n))
+        rng.shuffle(p)
+        assert nmi(a, b) == nmi([a[i] for i in p], [b[i] for i in p])
 
 
 def test_closeness_exact_engines_pass_at_zero(small_graphs):
