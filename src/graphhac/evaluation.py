@@ -168,9 +168,7 @@ def best_level_scores(
     ks = range(n_components, n + 1) if levels is None else sorted(set(levels))
     if ks and (ks[0] < max(n_components, 1) or ks[-1] > n):
         raise ValueError("sampled level outside the valid cluster counts")
-    wanted = bytearray(n + 1)
-    for k in ks:
-        wanted[k] = 1
+    wanted = set(ks)
 
     class_size = Counter(ground_truth)
     sum_b = float(sum(c * (c - 1) // 2 for c in class_size.values()))
@@ -184,8 +182,7 @@ def best_level_scores(
     # while it is a union-find root; merge nodes start empty.
     parent = list(range(n + len(merges)))
     size = [1] * n + [0] * len(merges)
-    counts: list[dict | None] = [{y: 1} for y in ground_truth]
-    counts += [None] * len(merges)
+    counts: list[dict | None] = [{y: 1} for y in ground_truth] + [None] * len(merges)
     info = [_exact(_info_term(1, n, 1, class_size[y])) for y in ground_truth]
     info += [0] * len(merges)
     same_cell = same_cluster = 0  # pair counts
@@ -217,25 +214,24 @@ def best_level_scores(
             _nmi_from_sums(-(entropy_sum / _ONE), h_b, info_sum / _ONE),
         )
 
-    if wanted[n]:
+    if n in wanted:
         score(n)
     for k, i in zip(range(n - 1, -1, -1), _strongest_first(merges)):
-        node = n + i
-        for side in merges[i][:2]:
+        node, sides = n + i, (merges[i].left, merges[i].right)
+        for side in sides:
             if side >= n and not applied[side - n]:
                 pending += 1
         if parent_merge[i] >= 0 and applied[parent_merge[i]]:
             pending -= 1
         applied[i] = 1
         root = find(node)
-        for side in merges[i][:2]:
+        for side in sides:
             parent[side] = node
             s_side, s_root = size[side], size[root]
             if s_side == 0:
                 continue
             if s_root == 0:  # root is an empty merge node: adopt side's cluster
                 size[root], counts[root], info[root] = s_side, counts[side], info[side]
-                counts[side] = None
                 continue
             big, small = counts[root], counts[side]
             if len(big) < len(small):
@@ -252,8 +248,7 @@ def best_level_scores(
             )
             info_sum += new_info - info[root] - info[side]
             size[root], counts[root], info[root] = merged, big, new_info
-            counts[side] = None
-        if wanted[k]:
+        if k in wanted:
             score(k)
 
     table = tuple((k, *rows[k]) for k in ks)

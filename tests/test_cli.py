@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from graphhac import cli, evaluation
 from graphhac.cli import main
 from graphhac.dendrogram import load_dendrogram, parse_dendrogram
 
@@ -111,8 +112,6 @@ def test_eval_levels_flag(tmp_path, capsys):
 def test_eval_report_equals_per_level_path(tmp_path):
     # the one-sweep scores must print exactly what cutting and rescoring
     # every level prints, on a k-NN approx dendrogram of 300 blob points
-    from graphhac import cli, evaluation
-
     rng = np.random.default_rng(3)
     truth = np.arange(300) % 5
     points = 3.0 * np.eye(5, 6)[truth] + rng.standard_normal((300, 6))
