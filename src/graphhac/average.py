@@ -200,12 +200,7 @@ def exact_avg_hac(
         # edge now tail -> head: the head's entry must hold the true priority
         st.heaps[head].update(tail, st.true_prio(head, tail))
 
-    orient = Orientation(
-        cap,
-        on_flip=on_flip,
-        record_events=audit is not None,
-        paranoid=audit is not None,
-    )
+    orient = Orientation(cap, on_flip=on_flip, audit=audit is not None)
     for u, v, _w in graph.edges:
         orient.insert_edge(u, v)
 

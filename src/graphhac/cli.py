@@ -172,11 +172,13 @@ def _cmd_eval(args) -> int:
     if len(truth) != d.n:
         raise ValueError(f"dendrogram has {d.n} leaves but {len(truth)} labels given")
     levels = None
-    if args.levels:
+    if args.levels is not None:
         try:
             levels = [int(x) for x in args.levels.split(",") if x]
         except ValueError:
             raise UsageError(f"bad --levels list {args.levels!r}") from None
+        if not levels:
+            raise UsageError(f"--levels {args.levels!r} holds no cluster counts")
     scores = evaluation.best_level_scores(d, list(truth), levels)
     report = _format_report(scores)
     if args.output:

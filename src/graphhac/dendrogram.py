@@ -15,6 +15,7 @@ Text format (one file per dendrogram):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -120,6 +121,8 @@ def parse_dendrogram(text: str) -> Dendrogram:
             merges.append(Merge(int(l), int(r), float(w), int(s)))
         except ValueError:
             raise DendrogramError(f"line {lineno}: bad field in {line!r}") from None
+        if not math.isfinite(merges[-1].weight):  # level order needs a total order
+            raise DendrogramError(f"line {lineno}: merge weight {w} is not finite")
     d = Dendrogram(n, tuple(merges), tuple(roots))
     d.validate()
     return d

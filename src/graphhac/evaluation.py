@@ -13,21 +13,32 @@ from .dendrogram import Dendrogram, Merge
 from .graph import WeightedGraph
 
 
-_NOT_MONOTONE = "dendrogram weights are not monotone: cut is not a tree level"
+def _strongest_first(n: int, merges: Sequence[Merge]) -> list[int]:
+    """Merge indices by descending effective weight, stable on the recorded
+    order: a level with k clusters keeps the first n - k of them.
 
-
-def _strongest_first(merges: Sequence[Merge]) -> list[int]:
-    """Merge indices by descending weight, stable on the recorded order: a
-    level with k clusters keeps the first n - k of them."""
-    return sorted(range(len(merges)), key=lambda i: -merges[i].weight)
+    A merge's effective weight is the least weight in its subtree (scipy's
+    `maxdists` closure), so no merge precedes its children and every prefix
+    is a tree level. On a monotone tree it is the merge's own weight."""
+    eff: list[float] = []
+    for m in merges:
+        w = m.weight
+        for side in (m.left, m.right):
+            if side >= n:
+                w = min(w, eff[side - n])
+        eff.append(w)
+    return sorted(range(len(merges)), key=lambda i: -eff[i])
 
 
 def cut_dendrogram(d: Dendrogram, target_clusters: int) -> list[int]:
     """Flatten to exactly `target_clusters` groups by undoing merges from the
-    weakest upward: the n - target strongest merges are kept (stable on the
-    recorded order, so for greedy-ordered dendrograms this is exactly the
-    first n - target merges). Labels are 0-based, contiguous, assigned in
-    order of each group's first leaf."""
+    weakest upward: the first n - target merges in `_strongest_first` order
+    are kept. On a monotone tree these are the strongest (stable on the
+    recorded order, so for greedy-ordered dendrograms exactly the first
+    n - target merges); a merge stronger than one below it ranks with its
+    weakest descendant, so every valid dendrogram has every level from its
+    component count to n. Labels are 0-based, contiguous, assigned in order
+    of each group's first leaf."""
     n = d.n
     if not 1 <= target_clusters <= n:
         raise ValueError(f"target_clusters {target_clusters} outside [1, {n}]")
@@ -37,15 +48,9 @@ def cut_dendrogram(d: Dendrogram, target_clusters: int) -> list[int]:
             f"cannot form {target_clusters} clusters: input has "
             f"{n - len(d.merges)} components"
         )
-    kept = sorted(_strongest_first(d.merges)[:keep])
-    kept_set = set(kept)
     parent = list(range(n + len(d.merges)))
-    for i in kept:
+    for i in _strongest_first(n, d.merges)[:keep]:
         m = d.merges[i]
-        for side in (m.left, m.right):
-            if side >= n and side - n not in kept_set:
-                # every engine here emits monotone trees; reject others
-                raise ValueError(_NOT_MONOTONE)
         parent[m.left] = parent[m.right] = n + i
 
     def find(x: int) -> int:
@@ -154,12 +159,13 @@ def best_level_scores(
     report the maxima (the first, i.e. fewest clusters, on ties). `levels`
     restricts the report to a sampled subset.
 
-    One sweep replays the merges in `cut_dendrogram`'s order (strongest
-    first, stable on the recorded index) on a union-find whose roots hold
-    truth-class counts, folding the smaller count map into the larger, and
-    updates the ARI pair counts and the exact NMI sums on the merged root
-    only: O(n log n + n*C) for C truth classes. Every row equals
-    `ari` / `nmi` of `cut_dendrogram` at that level, bit for bit."""
+    One sweep applies the merges in `cut_dendrogram`'s order, where each
+    merge comes after its children. Per node it keeps the size, truth-class
+    counts and exact info sum of its cluster; merge i folds its children's
+    into node n + i, the smaller count map into the larger, and updates the
+    ARI pair counts and the exact NMI sums: O(n log n + n*C) for C truth
+    classes. Every row equals `ari` / `nmi` of `cut_dendrogram` at that
+    level, bit for bit."""
     n = d.n
     if len(ground_truth) != n:
         raise ValueError(f"expected {n} labels, got {len(ground_truth)}")
@@ -178,9 +184,8 @@ def best_level_scores(
     def entropy_of(size: int) -> int:
         return _exact(_entropy_term(size, n))
 
-    # Per node: size, truth-class counts and exact info sum of its cluster
-    # while it is a union-find root; merge nodes start empty.
-    parent = list(range(n + len(merges)))
+    # Per node: size, truth-class counts and exact info sum of its cluster;
+    # merge nodes are filled when their merge is applied.
     size = [1] * n + [0] * len(merges)
     counts: list[dict | None] = [{y: 1} for y in ground_truth] + [None] * len(merges)
     info = [_exact(_info_term(1, n, 1, class_size[y])) for y in ground_truth]
@@ -189,26 +194,9 @@ def best_level_scores(
     entropy_sum = n * entropy_of(1)
     info_sum = sum(info)
 
-    # A merge applied before one of its child merges leaves the cut
-    # non-monotone until that child is applied (`cut_dendrogram` rejects it).
-    parent_merge = [-1] * len(merges)
-    for i, m in enumerate(merges):
-        for side in (m.left, m.right):
-            if side >= n:
-                parent_merge[side - n] = i
-    applied = bytearray(len(merges))
-    pending = 0
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     rows: dict[int, tuple[float, float]] = {}
 
     def score(k: int) -> None:
-        if pending:
-            raise ValueError(_NOT_MONOTONE)
         rows[k] = (
             _ari_from_pairs(float(same_cell), float(same_cluster), sum_b, total),
             _nmi_from_sums(-(entropy_sum / _ONE), h_b, info_sum / _ONE),
@@ -216,38 +204,23 @@ def best_level_scores(
 
     if n in wanted:
         score(n)
-    for k, i in zip(range(n - 1, -1, -1), _strongest_first(merges)):
-        node, sides = n + i, (merges[i].left, merges[i].right)
-        for side in sides:
-            if side >= n and not applied[side - n]:
-                pending += 1
-        if parent_merge[i] >= 0 and applied[parent_merge[i]]:
-            pending -= 1
-        applied[i] = 1
-        root = find(node)
-        for side in sides:
-            parent[side] = node
-            s_side, s_root = size[side], size[root]
-            if s_side == 0:
-                continue
-            if s_root == 0:  # root is an empty merge node: adopt side's cluster
-                size[root], counts[root], info[root] = s_side, counts[side], info[side]
-                continue
-            big, small = counts[root], counts[side]
-            if len(big) < len(small):
-                big, small = small, big
-            for y, c in small.items():
-                held = big.get(y, 0)
-                same_cell += held * c
-                big[y] = held + c
-            same_cluster += s_root * s_side
-            merged = s_root + s_side
-            entropy_sum += entropy_of(merged) - entropy_of(s_root) - entropy_of(s_side)
-            new_info = sum(
-                _exact(_info_term(c, n, merged, class_size[y])) for y, c in big.items()
-            )
-            info_sum += new_info - info[root] - info[side]
-            size[root], counts[root], info[root] = merged, big, new_info
+    for k, i in zip(range(n - 1, -1, -1), _strongest_first(n, merges)):
+        l, r = merges[i].left, merges[i].right
+        big, small = counts[l], counts[r]
+        if len(big) < len(small):
+            big, small = small, big
+        for y, c in small.items():
+            held = big.get(y, 0)
+            same_cell += held * c
+            big[y] = held + c
+        same_cluster += size[l] * size[r]
+        merged = size[l] + size[r]
+        entropy_sum += entropy_of(merged) - entropy_of(size[l]) - entropy_of(size[r])
+        new_info = sum(
+            _exact(_info_term(c, n, merged, class_size[y])) for y, c in big.items()
+        )
+        info_sum += new_info - info[l] - info[r]
+        size[n + i], counts[n + i], info[n + i] = merged, big, new_info
         if k in wanted:
             score(k)
 

@@ -42,8 +42,7 @@ class Orientation:
         self,
         cap: int,
         on_flip: FlipFn | None = None,
-        record_events: bool = False,
-        paranoid: bool = False,
+        audit: bool = False,
     ):
         if cap < 1:
             raise ValueError("cap must be >= 1")
@@ -51,8 +50,8 @@ class Orientation:
         self.on_flip = on_flip
         self.out: dict[int, set[int]] = {}
         self.flip_count = 0
-        self.events: list[tuple[str, int, int]] | None = [] if record_events else None
-        self.paranoid = paranoid  # re-check the cap after every public op
+        self.audit = audit  # log every orient, flip and drop; re-check the cap
+        self.events: list[tuple[str, int, int]] | None = [] if audit else None
 
     def outdegree(self, u: int) -> int:
         s = self.out.get(u)
@@ -81,7 +80,7 @@ class Orientation:
         tail, head = (u, v) if (self.outdegree(u), u) <= (self.outdegree(v), v) else (v, u)
         self._orient(tail, head)
         self._settle(tail)
-        if self.paranoid:
+        if self.audit:
             assert self.max_outdegree() <= self.cap
 
     def _settle(self, start: int) -> None:
@@ -120,5 +119,5 @@ class Orientation:
             raise ValueError(f"edge ({u},{v}) absent")
         if self.events is not None:
             self.events.append(("drop", u, v))
-        if self.paranoid:
+        if self.audit:
             assert self.max_outdegree() <= self.cap

@@ -196,8 +196,8 @@ def test_criterion_7_orientation_invariants(c2_runs):
     runs, _ = c2_runs
     checked = 0
     for _g, _exact, _naive, audit in runs:
-        # outdeg <= cap was asserted inside every insert/delete (paranoid
-        # mode audits each public operation); replay the flip log here
+        # outdeg <= cap was asserted inside every insert/delete (audit
+        # mode checks each public operation); replay the flip log here
         assert audit.max_outdegree <= max(8, math.ceil(2 * math.sqrt(2 * _g.m)))
         mirror: set[tuple[int, int]] = set()
         for kind, a, b in audit.orientation_events:

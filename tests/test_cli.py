@@ -111,29 +111,31 @@ def test_eval_levels_flag(tmp_path, capsys):
 
 def test_eval_report_equals_per_level_path(tmp_path):
     # the one-sweep scores must print exactly what cutting and rescoring
-    # every level prints, on a k-NN approx dendrogram of 300 blob points
-    rng = np.random.default_rng(3)
-    truth = np.arange(300) % 5
-    points = 3.0 * np.eye(5, 6)[truth] + rng.standard_normal((300, 6))
-    pts, labels = tmp_path / "p.csv", tmp_path / "l.txt"
-    pts.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in points))
-    labels.write_text("".join(f"{y}\n" for y in truth))
-    edges, dend, report = tmp_path / "g.wel", tmp_path / "d.tsv", tmp_path / "r.tsv"
-    assert run_cli(["knn-graph", "--k", "10", "--input", str(pts), "--output", str(edges)]) == 0
-    assert run_cli(["hac", "--linkage", "avg-approx", "--input", str(edges),
-                    "--output", str(dend)]) == 0
-    assert run_cli(["eval", "--dendrogram", str(dend), "--labels", str(labels),
-                    "--output", str(report)]) == 0
+    # every level prints, on k-NN approx dendrograms of 300 blob points; at
+    # epsilon 0.5, seed 1's dendrogram has merges stronger than their children
+    for seed, flags in ((3, []), (1, ["--epsilon", "0.5"])):
+        rng = np.random.default_rng(seed)
+        truth = np.arange(300) % 5
+        points = 3.0 * np.eye(5, 6)[truth] + rng.standard_normal((300, 6))
+        pts, labels = tmp_path / "p.csv", tmp_path / "l.txt"
+        pts.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in points))
+        labels.write_text("".join(f"{y}\n" for y in truth))
+        edges, dend, report = tmp_path / "g.wel", tmp_path / "d.tsv", tmp_path / "r.tsv"
+        assert run_cli(["knn-graph", "--k", "10", "--input", str(pts), "--output", str(edges)]) == 0
+        assert run_cli(["hac", "--linkage", "avg-approx", *flags, "--input", str(edges),
+                        "--output", str(dend)]) == 0
+        assert run_cli(["eval", "--dendrogram", str(dend), "--labels", str(labels),
+                        "--output", str(report)]) == 0
 
-    d, t = load_dendrogram(dend), truth.tolist()
-    table = []
-    for k in range(d.n - len(d.merges), d.n + 1):
-        cut = evaluation.cut_dendrogram(d, k)
-        table.append((k, evaluation.ari(cut, t), evaluation.nmi(cut, t)))
-    best_a = max(table, key=lambda row: (row[1], -row[0]))
-    best_m = max(table, key=lambda row: (row[2], -row[0]))
-    oracle = evaluation.LevelScores(best_a[1], best_a[0], best_m[2], best_m[0], tuple(table))
-    assert report.read_bytes() == cli._format_report(oracle).encode()
+        d, t = load_dendrogram(dend), truth.tolist()
+        table = []
+        for k in range(d.n - len(d.merges), d.n + 1):
+            cut = evaluation.cut_dendrogram(d, k)
+            table.append((k, evaluation.ari(cut, t), evaluation.nmi(cut, t)))
+        best_a = max(table, key=lambda row: (row[1], -row[0]))
+        best_m = max(table, key=lambda row: (row[2], -row[0]))
+        oracle = evaluation.LevelScores(best_a[1], best_a[0], best_m[2], best_m[0], tuple(table))
+        assert report.read_bytes() == cli._format_report(oracle).encode(), seed
 
 
 def test_bench_tsv_shape(tmp_path):
@@ -260,6 +262,28 @@ def test_exit_code_label_mismatch(tmp_path):
     labels = tmp_path / "l.txt"
     labels.write_text("0\n1\n")
     assert run_cli(["eval", "--dendrogram", str(dend), "--labels", str(labels)]) == 5
+
+
+@pytest.mark.parametrize("levels", [",", ""])
+def test_exit_code_levels_without_counts(tmp_path, capsys, levels):
+    inp = tmp_path / "g.wel"
+    inp.write_text(PATH_EDGES)
+    dend, labels = tmp_path / "d.tsv", tmp_path / "l.txt"
+    run_cli(["hac", "--linkage", "single", "--input", str(inp), "--output", str(dend)])
+    labels.write_text("0\n0\n1\n")
+    assert run_cli(["eval", "--dendrogram", str(dend), "--labels", str(labels),
+                    "--levels", levels]) == 2
+    assert "--levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_exit_code_non_finite_merge_weight(tmp_path, capsys, weight):
+    dend, labels = tmp_path / "d.tsv", tmp_path / "l.txt"
+    dend.write_text(f"n 3\n0 0 1 0.5 2\n1 3 2 {weight} 3\nroot 4\n")
+    labels.write_text("0\n0\n1\n")
+    assert run_cli(["eval", "--dendrogram", str(dend), "--labels", str(labels)]) == 4
+    err = capsys.readouterr().err
+    assert "line 3" in err and "not finite" in err
 
 
 def test_usage_error_from_argparse():

@@ -67,13 +67,12 @@ def test_cut_undoes_weakest_merges_for_chain_order():
         assert cut_dendrogram(chain_d, k) == cut_dendrogram(heap_d, k)
 
 
-def test_cut_rejects_non_monotone_trees():
-    bad = Dendrogram(3, (Merge(0, 1, 0.1, 2), Merge(3, 2, 0.9, 3)), (4,))
-    with pytest.raises(ValueError, match="monotone"):
-        cut_dendrogram(bad, 2)
-    # but a full keep or full undo is always well defined
-    assert cut_dendrogram(bad, 1) == [0, 0, 0]
-    assert cut_dendrogram(bad, 3) == [0, 1, 2]
+def test_cut_ranks_inverted_merge_with_its_child():
+    # the 0.9 merge sits above the 0.1 merge, so it ranks at 0.1, after it
+    inverted = Dendrogram(3, (Merge(0, 1, 0.1, 2), Merge(3, 2, 0.9, 3)), (4,))
+    assert [cut_dendrogram(inverted, k) for k in (1, 2, 3)] == [
+        [0, 0, 0], [0, 0, 1], [0, 1, 2]
+    ]
 
 
 def test_cut_cluster_counts_property():

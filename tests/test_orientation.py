@@ -96,7 +96,7 @@ def test_event_log_replays_to_final_orientation():
     # n=16, cap 8, at most 28 live edges: arboricity stays <= 4, the scheme
     # settles, and high-degree hubs still trigger real flip cascades
     rng = random.Random(9)
-    o = Orientation(8, record_events=True)
+    o = Orientation(8, audit=True)
     live: set[tuple[int, int]] = set()
     for _ in range(300):
         if live and (len(live) >= 28 or rng.random() < 0.3):

@@ -4,17 +4,20 @@ Complete graphs: similarities s = C - d over random point sets, so each
 graph linkage is scipy's distance linkage of the same name (single, complete,
 weighted = WPGMA, average = UPGMA) with every height mapped through C - h.
 Sparse graphs: single linkage merges the maximum spanning forest's edges,
-which scipy finds as the minimum spanning tree of C - w.
+which scipy finds as the minimum spanning tree of C - w. Level cuts of
+epsilon-close dendrograms, whose merges may be stronger than their children,
+are scipy's `fcluster(..., "maxclust")` of the heights C - w.
 """
 
 import numpy as np
 import pytest
 
-from graphhac.average import exact_avg_hac, naive_avg_hac
+from graphhac.average import approx_avg_hac, exact_avg_hac, naive_avg_hac
 from graphhac.engine import chain_hac, heap_hac
+from graphhac.evaluation import cut_dendrogram
 from graphhac.graph import make_graph
 from graphhac.heaps import HEAP_IMPLS
-from graphhac.instances import random_sparse_graph
+from graphhac.instances import random_connected_graph, random_sparse_graph
 
 hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
 csgraph = pytest.importorskip("scipy.sparse.csgraph")
@@ -90,3 +93,30 @@ def test_sparse_single_linkage_matches_scipy_mst(run, heap_impl):
         d = run(g, "single", heap_impl=heap_impl)
         assert len(d.roots) == 2
         assert sorted(m.weight for m in d.merges) == maximum_spanning_forest_weights(g)
+
+
+def first_leaf_labels(labels):
+    """Relabel a partition 0, 1, ... in order of each group's first leaf."""
+    seen = {}
+    return [seen.setdefault(x, len(seen)) for x in labels]
+
+
+def test_inverted_dendrogram_cuts_match_scipy_maxclust():
+    checked = inverted = 0
+    for seed in range(60):
+        g = random_connected_graph(seed)
+        d = approx_avg_hac(g, 0.5)
+        n, c = d.n, max(m.weight for m in d.merges)
+        inverted += any(
+            side >= n and d.merges[side - n].weight < m.weight
+            for m in d.merges for side in (m.left, m.right)
+        )
+        z = np.array([[m.left, m.right, c - m.weight, m.size] for m in d.merges])
+        for k in range(1, n + 1):
+            got, want = cut_dendrogram(d, k), hierarchy.fcluster(z, k, "maxclust")
+            if len(set(want)) == k:
+                assert got == first_leaf_labels(want), (seed, k)
+                checked += 1
+            else:  # tied heights: scipy keeps more merges, so the cut refines it
+                assert len(set(zip(got, want))) == k, (seed, k)
+    assert inverted and checked > 1000, (inverted, checked)
