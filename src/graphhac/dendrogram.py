@@ -119,6 +119,8 @@ def parse_dendrogram(text: str) -> Dendrogram:
             if int(idx) != len(merges):
                 raise DendrogramError(f"line {lineno}: merge index out of order")
             merges.append(Merge(int(l), int(r), float(w), int(s)))
+        except DendrogramError:
+            raise
         except ValueError:
             raise DendrogramError(f"line {lineno}: bad field in {line!r}") from None
         if not math.isfinite(merges[-1].weight):  # level order needs a total order

@@ -14,6 +14,12 @@ import numpy as np
 # stray huge id cannot size every per-vertex list of the engines.
 ID_SLACK = 2**20
 
+# build_knn_graph computes distances a block of rows at a time; a block's
+# (rows, n, d) float64 temporaries hold at most this many bytes (at least
+# one row). Large enough to amortize numpy's per-call cost, small enough to
+# stay in cache and leave peak memory where the per-row loop had it.
+KNN_BLOCK_BYTES = 2**19
+
 
 class GraphFormatError(ValueError):
     """Malformed edge-list / point input. Carries a 1-based line number when known."""
@@ -66,21 +72,33 @@ def make_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedGraph
 
 def validate_graph(g: WeightedGraph) -> None:
     """Check the representation invariants; raise ValueError on violation."""
-    if g.n < 0:
+    if g.edges:
+        u, v, w = (np.array(col) for col in zip(*g.edges))
+    else:
+        u, v, w = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+    _check_edges(g.n, u, v, w)
+
+
+def _check_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+    """validate_graph's rules on edge arrays: ids in [0, n), u < v, pairs
+    strictly increasing, finite weights. Raises for the first rule broken,
+    naming its first offending edge."""
+    if n < 0:
         raise ValueError("negative vertex count")
-    seen: set[tuple[int, int]] = set()
-    for u, v, w in g.edges:
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={g.n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if u > v:
-            raise ValueError(f"edge ({u},{v}) not stored with u < v")
-        if (u, v) in seen:
-            raise ValueError(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-        if not math.isfinite(w):
-            raise ValueError(f"non-finite weight on edge ({u},{v})")
+    same_u = np.r_[False, u[1:] == u[:-1]]
+    prev_v = np.r_[v[:1], v[:-1]]
+    rules = (
+        ((u < 0) | (v < 0) | (u >= n) | (v >= n), f"edge ({{}},{{}}) out of range for n={n}"),
+        (u == v, "self-loop at vertex {}"),
+        (u > v, "edge ({},{}) not stored with u < v"),
+        (same_u & (v == prev_v), "duplicate edge ({},{})"),
+        (np.r_[False, u[1:] < u[:-1]] | (same_u & (v < prev_v)), "edge ({},{}) out of sorted order"),
+        (~np.isfinite(w), "non-finite weight on edge ({},{})"),
+    )
+    for bad, message in rules:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(message.format(u[i], v[i]))
 
 
 def parse_edge_list(
@@ -152,9 +170,8 @@ def load_edge_list(path: str | Path, **kwargs) -> WeightedGraph:
 
 
 def write_edge_list(g: WeightedGraph, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        for u, v, w in g.edges:
-            f.write(f"{u} {v} {w:.17g}\n")
+    text = "".join(f"{u} {v} {w:.17g}\n" for u, v, w in g.edges)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def degree_log_reweight(g: WeightedGraph) -> WeightedGraph:
@@ -176,23 +193,39 @@ def symmetrize(
 
     Each unordered pair keeps the max weight over all directed copies.
     Self-loops (which k-NN sources may emit) are dropped; their count is
-    returned alongside the graph.
+    returned alongside the graph. n defaults to 1 + the largest id seen,
+    self-loops included.
     """
-    pairs: dict[tuple[int, int], float] = {}
-    dropped = 0
-    max_id = -1
-    for u, v, w in directed_edges:
-        max_id = max(max_id, u, v)
-        if u == v:
-            dropped += 1
-            continue
-        key = (min(u, v), max(u, v))
-        if key in pairs:
-            pairs[key] = max(pairs[key], w)
-        else:
-            pairs[key] = float(w)
-    count = max_id + 1 if n is None else n
-    return make_graph(count, ((u, v, w) for (u, v), w in pairs.items())), dropped
+    edges = list(directed_edges)
+    if any(len(e) != 3 for e in edges):
+        raise ValueError("every directed edge must be a (u, v, w) triple")
+    if edges:
+        u, v, w = (np.array(col) for col in zip(*edges))
+    else:
+        u, v, w = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+    if u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
+        raise ValueError("vertex ids must be integers")
+    if n is None:
+        n = int(max(u.max(), v.max())) + 1 if len(u) else 0
+    return _symmetrize_arrays(n, u.astype(np.int64), v.astype(np.int64), w.astype(float))
+
+
+def _symmetrize_arrays(
+    n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> tuple[WeightedGraph, int]:
+    """symmetrize on arrays of directed edges: canonical (min, max) pairs,
+    one lexsort, and the max of each run of equal pairs. Max is exact, so
+    every weight is one of the input weights."""
+    loop = u == v
+    a, b, w = np.minimum(u, v)[~loop], np.maximum(u, v)[~loop], w[~loop]
+    order = np.lexsort((b, a))
+    a, b, w = a[order], b[order], w[order]
+    if len(a):
+        starts = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
+        a, b, w = a[starts], b[starts], np.maximum.reduceat(w, starts)
+    _check_edges(n, a, b, w)
+    edges = tuple(zip(a.tolist(), b.tolist(), w.tolist()))
+    return WeightedGraph(n, edges), int(np.count_nonzero(loop))
 
 
 @dataclass(frozen=True)
@@ -263,10 +296,15 @@ def build_knn_graph(
 
     Each point contributes directed edges to its k nearest neighbors by
     Euclidean distance (ties broken by lower point index); the directed graph
-    is then symmetrized with the max rule. Distances are computed one row at
-    a time by direct differences, sqrt(sum((p_j - p_i)^2)), so d(i, j) and
-    d(j, i) are bitwise equal by construction and working memory is O(n d)
-    rather than O(n^2). O(n^2 d) time, intended for desk scale.
+    is then symmetrized with the max rule. Distances are computed a block of
+    rows at a time by direct differences, sqrt(sum((p_j - p_i)^2)), summed
+    over the same contiguous last axis as a single row's, so every distance,
+    d(i, j) == d(j, i) included, is bitwise the same whatever the block size.
+    The block's (rows, n, d) temporaries stay within KNN_BLOCK_BYTES, so
+    working memory is O(block * n * d) plus O(n k) for the chosen edges,
+    never O(n^2). O(n^2 d) time, intended for desk scale. A non-finite
+    coordinate, or a distance that overflows to inf, raises ValueError.
+    similarity maps a 1-D array of distances to similarities elementwise.
     """
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, float)
     n = len(pts)
@@ -274,16 +312,32 @@ def build_knn_graph(
         raise ValueError("empty point set")
     if not 1 <= k < n:
         raise ValueError(f"k={k} must satisfy 1 <= k < n={n}")
-    directed: list[tuple[int, int, float]] = []
-    for i in range(n):
-        dist = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
-        dist[i] = np.inf  # exclude self
-        # keep the k closest in (distance, index) order: every point tied
-        # with the k-th distance is a candidate, so the tie rule is exact
-        kth = np.partition(dist, k - 1)[k - 1]
-        cand = np.flatnonzero(dist <= kth)
-        order = cand[np.lexsort((cand, dist[cand]))[:k]]
-        sims = np.asarray(similarity(dist[order]), dtype=float)
-        directed.extend(zip([i] * k, order.tolist(), sims.tolist()))
-    g, _dropped = symmetrize(directed, n=n)
-    return g
+    if not np.isfinite(pts).all():
+        raise ValueError("non-finite coordinate")
+    rows = max(1, KNN_BLOCK_BYTES // (pts.itemsize * pts.size))
+    nbr = np.empty((n, k), dtype=np.int64)
+    dist = np.empty((n, k))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        with np.errstate(over="ignore"):
+            block = np.sqrt(((pts[None, :, :] - pts[i0:i1, None, :]) ** 2).sum(axis=-1))
+        if not np.isfinite(block).all():
+            i, j = np.argwhere(~np.isfinite(block))[0].tolist()
+            raise ValueError(f"distance between points {i0 + i} and {j} overflows to inf")
+        r = np.arange(i1 - i0)
+        block[r, r + i0] = np.inf  # exclude self
+        # the k closest in (distance, index) order; a row with more than k
+        # points within its k-th distance takes the exact tie rule alone
+        cand = np.argpartition(block, k - 1, axis=1)[:, :k]
+        cd = np.take_along_axis(block, cand, axis=1)
+        order = np.lexsort((cand, cd))
+        cand, cd = np.take_along_axis(cand, order, 1), np.take_along_axis(cd, order, 1)
+        tied = np.flatnonzero((block <= cd[:, -1:]).sum(axis=1) > k)
+        for t in tied.tolist():
+            row = block[t]
+            c = np.flatnonzero(row <= cd[t, -1])
+            cand[t] = c[np.lexsort((c, row[c]))[:k]]
+            cd[t] = row[cand[t]]
+        nbr[i0:i1], dist[i0:i1] = cand, cd
+    sims = np.asarray(similarity(dist.ravel()), dtype=float)
+    return _symmetrize_arrays(n, np.repeat(np.arange(n), k), nbr.ravel(), sims)[0]

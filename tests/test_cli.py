@@ -8,7 +8,7 @@ import pytest
 
 from graphhac import cli, evaluation
 from graphhac.cli import main
-from graphhac.dendrogram import load_dendrogram, parse_dendrogram
+from graphhac.dendrogram import DendrogramError, load_dendrogram, parse_dendrogram
 
 PATH_EDGES = "0 1 1.0\n1 2 0.6\n"
 
@@ -179,6 +179,32 @@ def test_knn_graph_rejects_non_finite_point(tmp_path, capsys, field):
     assert run_cli(["knn-graph", "--k", "1", "--input", str(pts), "--output", str(out)]) == 4
     assert not out.exists()
     assert "line 2" in capsys.readouterr().err
+
+
+def test_knn_graph_overflowing_distance_exits_5(tmp_path, capsys):
+    # finite coordinates whose squared difference overflows to inf
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0\n1e200\n-1e200\n5\n")
+    out = tmp_path / "g.wel"
+    assert run_cli(["knn-graph", "--k", "2", "--input", str(pts), "--output", str(out)]) == 5
+    assert not out.exists()
+    assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n 2\n0 0 1 0.5\nroot 2\n", "line 2: expected 5 fields"),
+    ("n 2\n1 0 1 0.5 2\nroot 2\n", "line 2: merge index out of order"),
+    ("n 2\n0 0 1 0.5 2\nroot 2 3\n", "line 3: bad root line"),
+])
+def test_dendrogram_format_errors_keep_their_message(tmp_path, capsys, text, message):
+    with pytest.raises(DendrogramError) as exc:
+        parse_dendrogram(text)
+    assert str(exc.value) == message
+    dend, labels = tmp_path / "d.tsv", tmp_path / "l.txt"
+    dend.write_text(text)
+    labels.write_text("0\n1\n")
+    assert run_cli(["eval", "--dendrogram", str(dend), "--labels", str(labels)]) == 4
+    assert message in capsys.readouterr().err
 
 
 def test_exit_code_bad_flag_combo(tmp_path):

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from graphhac import graph
 from graphhac.graph import (
     ID_SLACK,
     GraphFormatError,
     PointSet,
+    WeightedGraph,
     build_knn_graph,
     degree_log_reweight,
     load_points_csv,
@@ -15,10 +18,25 @@ from graphhac.graph import (
     parse_edge_list,
     symmetrize,
     validate_graph,
+    write_edge_list,
 )
 from graphhac.instances import random_connected_graph, random_sparse_graph
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def knn_reference(pts: np.ndarray, k: int) -> dict[tuple[int, int], float]:
+    """Exact k-NN graph as {(u, v): weight}: all distances by direct
+    differences, each row's neighbors by (distance, index), and every pair
+    max-symmetrized by hand, with s = 1/(1+d)."""
+    n = len(pts)
+    d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    expect: dict[tuple[int, int], float] = {}
+    for i in range(n):
+        for j in sorted((j for j in range(n) if j != i), key=lambda j: (d[i, j], j))[:k]:
+            key = (min(i, j), max(i, j))
+            expect[key] = max(expect.get(key, 0.0), float(1.0 / (1.0 + d[i, j])))
+    return expect
 
 
 def test_parse_weighted():
@@ -75,6 +93,18 @@ def test_validator_catches_violations():
         validate_graph(make_graph(2, [(0, 5, 1.0)]))
     with pytest.raises(ValueError):
         make_graph(2, [(0, 1, math.inf)])
+    validate_graph(WeightedGraph(0, ()))
+    for edges, message in [
+        (((0, 1, 0.5), (2, 2, 0.5)), "self-loop at vertex 2"),
+        (((0, 1, 0.5), (2, 1, 0.5)), r"edge \(2,1\) not stored with u < v"),
+        (((0, 1, 0.5), (0, 1, 0.7)), r"duplicate edge \(0,1\)"),
+        (((1, 2, 0.5), (0, 1, 0.5)), r"edge \(0,1\) out of sorted order"),
+        (((0, 2, 0.5), (0, 1, 0.5)), r"edge \(0,1\) out of sorted order"),
+        (((0, 1, 0.5), (1, 2, math.nan)), r"non-finite weight on edge \(1,2\)"),
+        (((-1, 1, 0.5),), r"edge \(-1,1\) out of range for n=3"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            validate_graph(WeightedGraph(3, edges))
 
 
 # 1/ln(d(u)+d(v)) values computed directly from the formula
@@ -125,6 +155,59 @@ def test_symmetrize_identity_and_self_loops():
     assert dropped2 == 1
 
 
+def test_symmetrize_empty_input():
+    assert symmetrize([]) == (WeightedGraph(0, ()), 0)
+    assert symmetrize([], n=3) == (WeightedGraph(3, ()), 0)
+
+
+def test_symmetrize_only_self_loops():
+    g, dropped = symmetrize([(2, 2, 1.0), (0, 0, 0.5), (2, 2, 0.1)])
+    assert (g.n, g.edges, dropped) == (3, (), 3)
+
+
+def test_symmetrize_n_above_max_id():
+    g, dropped = symmetrize([(1, 0, 0.5)], n=5)
+    assert (g.n, g.edges, dropped) == (5, ((0, 1, 0.5),), 0)
+
+
+def test_symmetrize_reversed_duplicates_keep_max():
+    g, dropped = symmetrize(
+        [(1, 0, 0.25), (3, 2, 0.1), (0, 1, 0.75), (1, 0, 0.5), (2, 3, 0.05), (1, 1, 9.0)]
+    )
+    assert g.edges == ((0, 1, 0.75), (2, 3, 0.1))
+    assert dropped == 1
+
+
+def test_symmetrize_integer_weights_come_back_float():
+    g, _ = symmetrize([(0, 1, 2), (1, 0, 3), (np.int64(2), np.int64(1), np.int64(4))])
+    assert g.edges == ((0, 1, 3.0), (1, 2, 4.0))
+    assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
+    assert all(type(w) is float for _, _, w in g.edges)
+
+
+def test_symmetrize_rejects_bad_edges():
+    with pytest.raises(ValueError, match="non-finite"):
+        symmetrize([(0, 1, 0.5), (1, 0, math.nan)])
+    with pytest.raises(ValueError, match="out of range"):
+        symmetrize([(0, 3, 0.5)], n=3)
+    with pytest.raises(ValueError, match="out of range"):
+        symmetrize([(-1, 2, 0.5)])
+    with pytest.raises(ValueError, match="integers"):
+        symmetrize([(0.0, 1.5, 0.5)])
+    with pytest.raises(ValueError, match="triple"):
+        symmetrize([(0, 1, 0.5), (1, 2)])
+
+
+def test_write_edge_list_bytes(tmp_path):
+    out = tmp_path / "g.wel"
+    write_edge_list(make_graph(4, [(0, 1, 1 / 3), (2, 3, 0.5), (1, 2, 0.1)]), out)
+    assert out.read_bytes() == (
+        b"0 1 0.33333333333333331\n1 2 0.10000000000000001\n2 3 0.5\n"
+    )
+    write_edge_list(make_graph(2, []), out)
+    assert out.read_bytes() == b""
+
+
 def test_symmetrize_idempotent():
     edges = [(0, 1, 0.9), (1, 0, 0.4), (2, 1, 0.3), (0, 0, 1.0)]
     once, _ = symmetrize(edges)
@@ -165,17 +248,94 @@ def test_knn_iris_neighbor_selection(k):
     # edges exist. Reference: direct-difference distances, (distance, index)
     # order, max-symmetrized by hand.
     pts = load_points_csv(DATA / "iris.csv").points
-    n = len(pts)
-    d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
-    expect: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in sorted((j for j in range(n) if j != i), key=lambda j: (d[i, j], j))[:k]:
-            key = (min(i, j), max(i, j))
-            expect[key] = max(expect.get(key, 0.0), float(1.0 / (1.0 + d[i, j])))
+    expect = knn_reference(pts, k)
     got = {(u, v): w for u, v, w in build_knn_graph(pts, k).edges}
     wrong = sorted(set(got) ^ set(expect))
     assert not wrong, f"{len(wrong)} edges differ, first {wrong[:4]}"
     assert got == expect
+
+
+def _lattice(seed: int, n: int, d: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 3, size=(n, d)).astype(float)
+
+
+def _normal(seed: int, n: int, d: int) -> np.ndarray:
+    return np.random.default_rng(seed).normal(size=(n, d))
+
+
+@pytest.mark.parametrize("make", [_normal, _lattice])
+@pytest.mark.parametrize("n, d, rows", [
+    (30, 9, 31),  # n below the block row count: one short block
+    (30, 9, 30),  # n equal to it: one full block
+    (30, 9, 29),  # n one above it: a full block and a one-row block
+    (23, 8, 1),
+    (23, 12, 4),
+    (40, 17, 7),
+    (12, 39, 5),
+])
+def test_knn_matches_reference_at_any_block_size(monkeypatch, make, n, d, rows):
+    # The block budget is set so that exactly `rows` rows fit in one block;
+    # the graph must not depend on it, bit for bit.
+    monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", rows * 8 * n * d)
+    pts = make(n + d, n, d)
+    for k in (1, 3, n // 2, n - 1):
+        expect = knn_reference(pts, k)
+        assert build_knn_graph(pts, k) == WeightedGraph(
+            n, tuple((u, v, w) for (u, v), w in sorted(expect.items()))
+        ), (k, rows)
+
+
+def test_knn_lattice_ties_at_kth_distance_follow_index_rule(monkeypatch):
+    # rows with more than k points within their k-th distance take the exact
+    # tie rule; check such rows occur, then compare in one- and 5-row blocks
+    pts = _lattice(3, 40, 2)
+    k = 4
+    d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    np.fill_diagonal(d, np.inf)
+    kth = np.sort(d, axis=1)[:, k - 1]
+    assert ((d <= kth[:, None]).sum(axis=1) > k).sum() > 10
+    expect = WeightedGraph(40, tuple((u, v, w) for (u, v), w in sorted(knn_reference(pts, k).items())))
+    for rows in (1, 5, 40):
+        monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", rows * 8 * 40 * 2)
+        assert build_knn_graph(pts, k) == expect, rows
+
+
+def test_knn_matches_reference_at_default_block_size():
+    # n=250, d=8 splits into several blocks under the default budget
+    pts = _normal(11, 250, 8)
+    assert graph.KNN_BLOCK_BYTES // (8 * 250 * 8) < 250 // 3
+    expect = knn_reference(pts, 15)
+    assert build_knn_graph(pts, 15) == WeightedGraph(
+        250, tuple((u, v, w) for (u, v), w in sorted(expect.items()))
+    )
+
+
+def test_knn_working_memory_stays_below_a_distance_matrix():
+    # blocks keep the temporaries to KNN_BLOCK_BYTES: at n=600, d=8, k=15 the
+    # traced peak is about 1.4 MiB (the per-row loop's was 2.7 MiB), and one
+    # n x n float64 matrix alone would take 2.75 MiB
+    pts = _normal(0, 600, 8)
+    build_knn_graph(pts, 15)
+    tracemalloc.start()
+    try:
+        build_knn_graph(pts, 15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_knn_rejects_non_finite_coordinate():
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        build_knn_graph(np.array([[0.0], [math.nan], [1.0], [5.0]]), 1)
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        build_knn_graph(np.array([[0.0, 1.0], [2.0, -math.inf], [1.0, 1.0]]), 1)
+
+
+def test_knn_rejects_overflowing_distance():
+    # |1e200 - (-1e200)|^2 overflows to inf; the points themselves are finite
+    with pytest.raises(ValueError, match="overflows"):
+        build_knn_graph(np.array([[0.0], [1e200], [-1e200], [5.0]]), 2)
 
 
 def test_knn_identical_points():
