@@ -15,10 +15,11 @@ import numpy as np
 ID_SLACK = 2**20
 
 # build_knn_graph computes distances a block of rows at a time; a block's
-# (rows, n, d) float64 temporaries hold at most this many bytes (at least
-# one row). Large enough to amortize numpy's per-call cost, small enough to
-# stay in cache and leave peak memory where the per-row loop had it.
-KNN_BLOCK_BYTES = 2**19
+# (rows, n, d) difference array holds at most this many bytes (at least one
+# row). Large enough to amortize the per-block numpy calls, small enough to
+# stay in cache and to keep peak RSS where the per-row loop had it (at 512
+# KiB the benchmark's peak RSS rose by 0.4-1 MiB).
+KNN_BLOCK_BYTES = 2**18
 
 
 class GraphFormatError(ValueError):
@@ -300,7 +301,7 @@ def build_knn_graph(
     rows at a time by direct differences, sqrt(sum((p_j - p_i)^2)), summed
     over the same contiguous last axis as a single row's, so every distance,
     d(i, j) == d(j, i) included, is bitwise the same whatever the block size.
-    The block's (rows, n, d) temporaries stay within KNN_BLOCK_BYTES, so
+    The block's (rows, n, d) differences stay within KNN_BLOCK_BYTES, so
     working memory is O(block * n * d) plus O(n k) for the chosen edges,
     never O(n^2). O(n^2 d) time, intended for desk scale. A non-finite
     coordinate, or a distance that overflows to inf, raises ValueError.
@@ -319,8 +320,10 @@ def build_knn_graph(
     dist = np.empty((n, k))
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
+        diff = pts[None, :, :] - pts[i0:i1, None, :]
         with np.errstate(over="ignore"):
-            block = np.sqrt(((pts[None, :, :] - pts[i0:i1, None, :]) ** 2).sum(axis=-1))
+            np.square(diff, out=diff)
+        block = np.sqrt(diff.sum(axis=-1))
         if not np.isfinite(block).all():
             i, j = np.argwhere(~np.isfinite(block))[0].tolist()
             raise ValueError(f"distance between points {i0 + i} and {j} overflows to inf")

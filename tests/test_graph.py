@@ -312,7 +312,7 @@ def test_knn_matches_reference_at_default_block_size():
 
 def test_knn_working_memory_stays_below_a_distance_matrix():
     # blocks keep the temporaries to KNN_BLOCK_BYTES: at n=600, d=8, k=15 the
-    # traced peak is about 1.4 MiB (the per-row loop's was 2.7 MiB), and one
+    # traced peak is about 1.7 MiB (the per-row loop's was 2.7 MiB), and one
     # n x n float64 matrix alone would take 2.75 MiB
     pts = _normal(0, 600, 8)
     build_knn_graph(pts, 15)
