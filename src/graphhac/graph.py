@@ -73,17 +73,29 @@ def make_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedGraph
 
 def validate_graph(g: WeightedGraph) -> None:
     """Check the representation invariants; raise ValueError on violation."""
-    if g.edges:
-        u, v, w = (np.array(col) for col in zip(*g.edges))
-    else:
-        u, v, w = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
-    _check_edges(g.n, u, v, w)
+    if g.n < 0:
+        raise ValueError("negative vertex count")
+    seen: set[tuple[int, int]] = set()
+    for u, v, w in g.edges:
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={g.n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if u > v:
+            raise ValueError(f"edge ({u},{v}) not stored with u < v")
+        if (u, v) in seen:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        if not math.isfinite(w):
+            raise ValueError(f"non-finite weight on edge ({u},{v})")
 
 
 def _check_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
-    """validate_graph's rules on edge arrays: ids in [0, n), u < v, pairs
-    strictly increasing, finite weights. Raises for the first rule broken,
-    naming its first offending edge."""
+    """validate_graph's rules on edge arrays, for graphs built from arrays:
+    ids in [0, n), u < v, pairs strictly increasing, finite weights. Raises
+    for the first rule broken, naming its first offending edge. (On the
+    small tuple graphs that parsing yields, validate_graph's loop is the
+    cheaper check.)"""
     if n < 0:
         raise ValueError("negative vertex count")
     same_u = np.r_[False, u[1:] == u[:-1]]
@@ -320,8 +332,8 @@ def build_knn_graph(
     dist = np.empty((n, k))
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        diff = pts[None, :, :] - pts[i0:i1, None, :]
         with np.errstate(over="ignore"):
+            diff = pts[None, :, :] - pts[i0:i1, None, :]
             np.square(diff, out=diff)
         block = np.sqrt(diff.sum(axis=-1))
         if not np.isfinite(block).all():
