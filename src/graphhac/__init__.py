@@ -34,8 +34,6 @@ from .linkage import (
     SINGLE,
     TRIANGLE_KINDS,
     WPGMA,
-    average_weight,
-    combine_weights,
 )
 from .orientation import Orientation, default_cap
 from .reference import reference_hac
@@ -59,12 +57,10 @@ __all__ = [
     "WeightedGraph",
     "approx_avg_hac",
     "ari",
-    "average_weight",
     "best_level_scores",
     "build_knn_graph",
     "chain_hac",
     "closeness_audit",
-    "combine_weights",
     "cut_dendrogram",
     "default_cap",
     "degree_log_reweight",

@@ -221,7 +221,7 @@ def exact_avg_hac(
             audit.flip_count = orient.flip_count
             audit.max_outdegree = max(audit.max_outdegree, orient.max_outdegree())
             assert orient.max_outdegree() <= cap, "outdegree cap violated"
-            if audit.check_in_edges:
+            if audit.checks:
                 _check_in_edges(st, orient)
         return survivor
 
@@ -294,7 +294,7 @@ def approx_avg_hac(
             st.heaps[survivor].update(c, st.true_prio(survivor, c))
         if st.size[survivor] >= (1.0 + delta) * stale_base[survivor]:
             rebuild_cluster(st, stale_base, survivor, audit)
-        if audit is not None and audit.check_sandwich:
+        if audit is not None and audit.checks:
             _check_sandwich(st, delta)
         return survivor
 

@@ -130,8 +130,7 @@ def _cmd_hac(args) -> int:
     if args.unweighted:
         g = degree_log_reweight(g)
     log.info("loaded graph: n=%d m=%d (heap=%s)", g.n, g.m, args.heap_impl)
-    audit = engine.RunAudit(check_mirror=True, check_total_edges=True,
-                            check_in_edges=True, check_sandwich=True) if args.audit else None
+    audit = engine.RunAudit(checks=True) if args.audit else None
     t0 = time.perf_counter()
     if kind in linkage.TRIANGLE_KINDS:
         run = engine.heap_hac if args.driver == "heap" else engine.chain_hac

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+SAME_REL_TOL = 1e-9  # same_clustering's relative tolerance on merge weights
+
 
 class Merge(NamedTuple):
     left: int
@@ -42,6 +44,12 @@ class Dendrogram:
         """Structural invariants: id usage, sizes, merge count vs roots."""
         if self.n < 1:
             raise DendrogramError("dendrogram needs at least one leaf")
+        # checked before any per-leaf work, so a huge leaf count fails at once
+        if len(self.roots) != self.n - len(self.merges):
+            raise DendrogramError(
+                f"{len(self.merges)} merges on {self.n} leaves must leave "
+                f"{self.n - len(self.merges)} roots, got {len(self.roots)}"
+            )
         size = {i: 1 for i in range(self.n)}
         used: set[int] = set()
         for i, (l, r, _w, s) in enumerate(self.merges):
@@ -60,11 +68,6 @@ class Dendrogram:
         live = set(size) - used
         if set(self.roots) != live:
             raise DendrogramError(f"roots {self.roots} != unmerged ids {sorted(live)}")
-        if len(self.roots) != self.n - len(self.merges):
-            raise DendrogramError(
-                f"{len(self.merges)} merges on {self.n} leaves must leave "
-                f"{self.n - len(self.merges)} roots, got {len(self.roots)}"
-            )
 
     def leaf_sets(self) -> dict[int, frozenset[int]]:
         """Node id -> the set of leaves under it."""
@@ -134,18 +137,17 @@ def load_dendrogram(path: str | Path) -> Dendrogram:
     return parse_dendrogram(Path(path).read_text(encoding="utf-8"))
 
 
-def same_clustering(
-    a: Dendrogram, b: Dendrogram, rel_tol: float = 1e-9
-) -> bool:
+def same_clustering(a: Dendrogram, b: Dendrogram) -> bool:
     """True if the two dendrograms describe the same merges, compared
-    order-independently: identical created leaf sets, weights within rel_tol."""
+    order-independently: identical created leaf sets, weights within
+    SAME_REL_TOL."""
     if a.n != b.n or len(a.merges) != len(b.merges):
         return False
     ca, cb = a.canonical_merges(), b.canonical_merges()
     for (sa, wa), (sb, wb) in zip(ca, cb):
         if sa != sb:
             return False
-        if abs(wa - wb) > rel_tol * max(abs(wa), abs(wb), 1e-300):
+        if abs(wa - wb) > SAME_REL_TOL * max(abs(wa), abs(wb), 1e-300):
             return False
     return True
 

@@ -30,19 +30,13 @@ from .linkage import LinkageError, combine_fn, is_triangle_based
 
 
 class RunAudit:
-    """Opt-in instrumentation collected during a clustering run."""
+    """Opt-in instrumentation collected during a clustering run. `checks`
+    also runs each engine's invariant checks: heap mirror and total edges
+    for the triangle linkages, in-edge priorities for exact average linkage,
+    the stored-vs-true sandwich for approximate average linkage."""
 
-    def __init__(
-        self,
-        check_mirror: bool = False,
-        check_total_edges: bool = False,
-        check_in_edges: bool = False,
-        check_sandwich: bool = False,
-    ):
-        self.check_mirror = check_mirror
-        self.check_total_edges = check_total_edges
-        self.check_in_edges = check_in_edges
-        self.check_sandwich = check_sandwich
+    def __init__(self, checks: bool = False):
+        self.checks = checks
         self.merge_degrees: list[tuple[int, int]] = []
         self.stack_pushes = 0
         self.rebuild_counts: dict[int, int] = {}
@@ -99,7 +93,6 @@ class ClusterState(HeapState):
                 f"{kind!r} is not triangle-based; use the average-linkage engines"
             )
         super().__init__(graph.adjacency(), heap_impl)
-        self.kind = kind
         self.combine = combine_fn(kind)
         self.total_edges = [len(h) for h in self.heaps]
 
@@ -147,7 +140,7 @@ def merge_clusters(
     state.size[survivor] += state.size[folded]
     state.total_edges[survivor] += state.total_edges[folded]
     state.builder.record(folded, survivor, weight, state.size[survivor])
-    if audit is not None and audit.check_mirror:
+    if audit is not None and audit.checks:
         state.check_mirror()
     return survivor
 
@@ -223,7 +216,7 @@ def chain_hac(
         return state.heaps[t].best_edge()[0]
 
     _chain_loop(graph.n, state.active, state.degree, best, _merger(state, audit), audit)
-    if audit is not None and audit.check_total_edges:
+    if audit is not None and audit.checks:
         state.check_total_edges(graph.m)
     return state.finish()
 
@@ -315,6 +308,6 @@ def heap_hac(
         return -w, c, nbr
 
     _global_heap_loop(graph.n, state.active, best, _merger(state, audit))
-    if audit is not None and audit.check_total_edges:
+    if audit is not None and audit.checks:
         state.check_total_edges(graph.m)
     return state.finish()

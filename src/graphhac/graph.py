@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -75,7 +75,7 @@ def validate_graph(g: WeightedGraph) -> None:
     """Check the representation invariants; raise ValueError on violation."""
     if g.n < 0:
         raise ValueError("negative vertex count")
-    seen: set[tuple[int, int]] = set()
+    prev = (-1, -1)
     for u, v, w in g.edges:
         if not (0 <= u < g.n and 0 <= v < g.n):
             raise ValueError(f"edge ({u},{v}) out of range for n={g.n}")
@@ -83,9 +83,11 @@ def validate_graph(g: WeightedGraph) -> None:
             raise ValueError(f"self-loop at vertex {u}")
         if u > v:
             raise ValueError(f"edge ({u},{v}) not stored with u < v")
-        if (u, v) in seen:
+        if (u, v) == prev:
             raise ValueError(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
+        if (u, v) < prev:
+            raise ValueError(f"edge ({u},{v}) out of sorted order")
+        prev = (u, v)
         if not math.isfinite(w):
             raise ValueError(f"non-finite weight on edge ({u},{v})")
 
@@ -243,16 +245,13 @@ def _symmetrize_arrays(
 
 @dataclass(frozen=True)
 class PointSet:
-    """d-dimensional points with optional integer class labels."""
+    """n d-dimensional points; class labels load separately (`load_labels`)."""
 
     points: np.ndarray  # shape (n, d)
-    labels: np.ndarray | None = None  # shape (n,), int
 
     def __post_init__(self):
         if self.points.ndim != 2 or self.points.shape[1] < 1:
             raise ValueError("points must be a (n, d) array with d >= 1")
-        if self.labels is not None and len(self.labels) != len(self.points):
-            raise ValueError("label count must equal point count")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -295,29 +294,21 @@ def load_labels(path: str | Path) -> np.ndarray:
     return np.asarray(out, dtype=int)
 
 
-def inverse_distance_similarity(d: np.ndarray) -> np.ndarray:
-    """Default distance -> similarity map s = 1/(1+d), strictly decreasing."""
-    return 1.0 / (1.0 + d)
-
-
-def build_knn_graph(
-    points: PointSet | np.ndarray,
-    k: int,
-    similarity: Callable[[np.ndarray], np.ndarray] = inverse_distance_similarity,
-) -> WeightedGraph:
+def build_knn_graph(points: PointSet | np.ndarray, k: int) -> WeightedGraph:
     """Exact brute-force k-NN graph, symmetrized.
 
     Each point contributes directed edges to its k nearest neighbors by
-    Euclidean distance (ties broken by lower point index); the directed graph
-    is then symmetrized with the max rule. Distances are computed a block of
-    rows at a time by direct differences, sqrt(sum((p_j - p_i)^2)), summed
-    over the same contiguous last axis as a single row's, so every distance,
-    d(i, j) == d(j, i) included, is bitwise the same whatever the block size.
+    Euclidean distance (ties broken by lower point index), weighted by the
+    similarity 1/(1+d), which strictly decreases with the distance d; the
+    directed graph is then symmetrized with the max rule. Distances are
+    computed a block of rows at a time by direct differences,
+    sqrt(sum((p_j - p_i)^2)), summed over the same contiguous last axis as a
+    single row's, so every distance, d(i, j) == d(j, i) included, is bitwise
+    the same whatever the block size.
     The block's (rows, n, d) differences stay within KNN_BLOCK_BYTES, so
     working memory is O(block * n * d) plus O(n k) for the chosen edges,
     never O(n^2). O(n^2 d) time, intended for desk scale. A non-finite
     coordinate, or a distance that overflows to inf, raises ValueError.
-    similarity maps a 1-D array of distances to similarities elementwise.
     """
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, float)
     n = len(pts)
@@ -354,5 +345,5 @@ def build_knn_graph(
             cand[t] = c[np.lexsort((c, row[c]))[:k]]
             cd[t] = row[cand[t]]
         nbr[i0:i1], dist[i0:i1] = cand, cd
-    sims = np.asarray(similarity(dist.ravel()), dtype=float)
+    sims = 1.0 / (1.0 + dist.ravel())
     return _symmetrize_arrays(n, np.repeat(np.arange(n), k), nbr.ravel(), sims)[0]

@@ -4,7 +4,8 @@ Two interchangeable representations with identical observable behavior:
 
 * TreeNeighborHeap: a join-based AVL tree keyed by neighbor id, augmented
   with the subtree max priority. Union of sizes (s, l), s <= l, costs
-  O(s log(l/s + 1)) tree operations; BestEdge costs O(log n). Construction
+  O(s log(l/s + 1)) tree operations (node makes, split and join calls,
+  rebalance steps); BestEdge costs O(log n). Construction
   sorts the items (one linear pass on the sorted lists the engines pass) and
   builds one node per item, middle item at the root: O(d) tree operations,
   KeyError on a duplicate key. Insert and delete descend once and rebalance
@@ -41,19 +42,6 @@ _MISSING = object()
 # 2 * len(table) + _SLACK entries; the slack keeps tiny heaps from rebuilding
 # on every other edit.
 _SLACK = 16
-
-
-class _TreeOps:
-    """Test hook: counts tree-node operations (split/join calls, node makes,
-    rebalance steps)."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-
-TREE_OPS = _TreeOps()
 
 
 class _TNode:
@@ -120,14 +108,8 @@ def _rot_right(t):
     return l
 
 
-def _node(key: int, prio: float):
-    TREE_OPS.count += 1
-    return _TNode(key, prio)
-
-
 def _join(l, mid, r):
     """AVL join: all keys in l < mid.key < all keys in r."""
-    TREE_OPS.count += 1
     hl = l.height if l is not None else 0
     hr = r.height if r is not None else 0
     if hl > hr + 1:
@@ -141,7 +123,6 @@ def _join(l, mid, r):
 
 
 def _join_right(t, mid, r):
-    TREE_OPS.count += 1
     if _h(t.right) <= _h(r) + 1:
         mid.left = t.right
         mid.right = r
@@ -161,7 +142,6 @@ def _join_right(t, mid, r):
 
 
 def _join_left(t, mid, l):
-    TREE_OPS.count += 1
     if _h(t.left) <= _h(l) + 1:
         mid.right = t.left
         mid.left = l
@@ -182,7 +162,6 @@ def _join_left(t, mid, l):
 
 def _split(t, key):
     """Split by key; returns (left, prio_or_MISSING, right). Reuses nodes."""
-    TREE_OPS.count += 1
     if t is None:
         return None, _MISSING, None
     if key < t.key:
@@ -198,7 +177,6 @@ def _split_last(t):
     """Detach the max-key node of non-empty t; returns (rest, node). The left
     subtrees along the right spine are joined back bottom-up, which costs
     O(log |t|) in total because consecutive spine heights telescope."""
-    TREE_OPS.count += 1
     r = t.right
     if r is None:
         return t.left, t
@@ -227,7 +205,7 @@ def _build(items, lo: int, hi: int):
     k, p = items[mid]
     if mid and items[mid - 1][0] == k:
         raise KeyError(f"insert: key {k} already present")
-    t = _node(k, float(p))
+    t = _TNode(k, float(p))
     t.left = _build(items, lo, mid)
     t.right = _build(items, mid + 1, hi)
     _fix(t)
@@ -267,7 +245,6 @@ def _refresh_maxp(t, path) -> None:
 def _rebalance(t):
     """Refresh t after one child's height changed by at most one, rotating if
     the AVL balance broke; returns the subtree's new root."""
-    TREE_OPS.count += 1
     l, r = t.left, t.right
     hl = l.height if l is not None else 0
     hr = r.height if r is not None else 0
@@ -340,7 +317,7 @@ class TreeNeighborHeap:
         t, path = _descend(self._root, key)
         if t is not None:
             raise KeyError(f"insert: key {key} already present")
-        self._root = _replace(path, key, _node(key, prio))
+        self._root = _replace(path, key, _TNode(key, prio))
 
     def update(self, key: int, prio: float) -> None:
         t, path = _descend(self._root, key)
@@ -352,7 +329,7 @@ class TreeNeighborHeap:
     def upsert(self, key: int, prio: float) -> None:
         t, path = _descend(self._root, key)
         if t is None:
-            self._root = _replace(path, key, _node(key, prio))
+            self._root = _replace(path, key, _TNode(key, prio))
         else:
             t.prio = prio
             _refresh_maxp(t, path)
@@ -387,7 +364,7 @@ class TreeNeighborHeap:
         prio = self.delete(old_key)
         t, path = _descend(self._root, new_key)
         if t is None:
-            self._root = _replace(path, new_key, _node(new_key, prio))
+            self._root = _replace(path, new_key, _TNode(new_key, prio))
         else:
             t.prio = combine(t.prio, prio)
             _refresh_maxp(t, path)

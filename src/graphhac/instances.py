@@ -7,12 +7,12 @@ import random
 from .graph import WeightedGraph, make_graph
 
 
-def star_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    """Center 0 joined to the n-1 leaves, all with the same weight. The
-    worst case for eager average-linkage updates."""
+def star_graph(n: int) -> WeightedGraph:
+    """Center 0 joined to the n-1 leaves, every edge of weight 1. The worst
+    case for eager average-linkage updates."""
     if n < 1:
         raise ValueError("star needs at least one vertex")
-    return make_graph(n, ((0, i, weight) for i in range(1, n)))
+    return make_graph(n, ((0, i, 1.0) for i in range(1, n)))
 
 
 def random_connected_graph(
@@ -55,8 +55,8 @@ def random_connected_graph(
     return make_graph(n, out)
 
 
-def random_sparse_graph(seed: int, n: int, avg_degree: int = 8) -> WeightedGraph:
-    """Connected sparse benchmark instance with avg_degree*n/2 edges (at
+def random_sparse_graph(seed: int, n: int) -> WeightedGraph:
+    """Connected sparse benchmark instance of average degree 8: 4n edges (at
     least a spanning tree, at most the complete graph)."""
-    target_m = min(n * avg_degree // 2, n * (n - 1) // 2)
+    target_m = min(4 * n, n * (n - 1) // 2)
     return random_connected_graph(seed, n=n, m=max(target_m, n - 1))

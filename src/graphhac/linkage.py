@@ -1,5 +1,6 @@
-"""Linkage measures: pairwise combine rules for the triangle-based measures
-and the normalized weight for average (UPGMA) linkage.
+"""Linkage measures: their names and the pairwise combine rules of the
+triangle-based measures. Average (UPGMA) linkage has no pairwise rule; its
+engines in `average` merge raw cut sums.
 
 An absent edge means undefined similarity; absence is represented by key
 absence in the neighbor heaps, never by a sentinel weight, so combine
@@ -51,13 +52,3 @@ def combine_fn(kind: str) -> CombineFn:
             f"{kind!r} has no pairwise combine; average linkage merges raw "
             "cut sums, not stored weights"
         ) from None
-
-
-def combine_weights(kind: str, w1: float, w2: float) -> float:
-    """Combine two existing weights under a triangle-based linkage."""
-    return combine_fn(kind)(w1, w2)
-
-
-def average_weight(cut_sum: float, size_a: int, size_b: int) -> float:
-    """UPGMA similarity: total cut weight over the number of possible pairs."""
-    return cut_sum / (size_a * size_b)

@@ -170,10 +170,10 @@ def test_criterion_4_epsilon_closeness():
 
 def test_criterion_5_stored_vs_true_sandwich(c1_graphs):
     for g in c1_graphs[:40]:
-        approx_avg_hac(g, 0.1, audit=RunAudit(check_sandwich=True))
+        approx_avg_hac(g, 0.1, audit=RunAudit(checks=True))
     for t in range(10):
         g = random_connected_graph(C4_SEED + 777 + t, max_n=128, max_m=512)
-        approx_avg_hac(g, 0.1, audit=RunAudit(check_sandwich=True))
+        approx_avg_hac(g, 0.1, audit=RunAudit(checks=True))
     delta = delta_from_epsilon(0.1)
     print(
         f"\nPASS criterion-5: (1+{delta:.4f})^-2 * stored <= true <= stored "

@@ -153,7 +153,7 @@ def test_naive_is_zero_close_on_distinct_weights(small_graphs):
 def test_exact_in_edge_invariant():
     for t in range(12):
         g = random_connected_graph(5000 + t, max_n=48)
-        exact_avg_hac(g, audit=RunAudit(check_in_edges=True))
+        exact_avg_hac(g, audit=RunAudit(checks=True))
 
 
 def test_check_in_edges_is_bitwise():
@@ -214,10 +214,10 @@ def test_cut_maps_mirror_contraction(heap_impl):
 def test_approx_sandwich_invariant():
     for t in range(12):
         g = random_connected_graph(6000 + t, max_n=48)
-        approx_avg_hac(g, 0.1, audit=RunAudit(check_sandwich=True))
+        approx_avg_hac(g, 0.1, audit=RunAudit(checks=True))
     # a coarser epsilon loosens delta but the sandwich must still hold
     g = random_connected_graph(123, max_n=48)
-    approx_avg_hac(g, 0.6, audit=RunAudit(check_sandwich=True))
+    approx_avg_hac(g, 0.6, audit=RunAudit(checks=True))
 
 
 def test_rebuild_counter_bound(small_graphs):
@@ -308,7 +308,7 @@ def test_disconnected_components_forest():
 
 def test_exact_orientation_invariant_and_audit(small_graphs):
     for g in small_graphs[:8]:
-        audit = RunAudit(check_in_edges=True)
+        audit = RunAudit(checks=True)
         exact_avg_hac(g, audit=audit)
         assert audit.max_outdegree <= max(8, math.ceil(2 * math.sqrt(2 * g.m)))
         assert audit.stack_pushes <= 2 * g.n - 1

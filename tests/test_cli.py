@@ -312,6 +312,16 @@ def test_exit_code_non_finite_merge_weight(tmp_path, capsys, weight):
     assert "line 3" in err and "not finite" in err
 
 
+def test_eval_huge_leaf_count_fails_before_per_leaf_work(tmp_path, capsys):
+    # a root count that cannot match is refused before n leaves are sized
+    dend, labels = tmp_path / "d.tsv", tmp_path / "l.txt"
+    dend.write_text("n 1000000000000\n0 0 1 0.5 2\nroot 1000000000000\n")
+    labels.write_text("0\n0\n")
+    assert run_cli(["eval", "--dendrogram", str(dend), "--labels", str(labels)]) == 4
+    err = capsys.readouterr().err
+    assert "must leave 999999999999 roots, got 1" in err and len(err) < 300
+
+
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["hac", "--linkage", "ward", "--input", "x", "--output", "y"])

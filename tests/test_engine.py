@@ -1,9 +1,12 @@
 import heapq
 import math
 import random
+from collections import Counter
 
 import pytest
 
+import graphhac
+from graphhac import average
 from graphhac.average import approx_avg_hac, exact_avg_hac
 
 from graphhac.dendrogram import (
@@ -34,6 +37,11 @@ TRIANGLE = make_graph(3, [(0, 1, 1.0), (1, 2, 0.5), (0, 2, 0.5)])
 
 def merge_tuples(d):
     return [(m.left, m.right, pytest.approx(m.weight), m.size) for m in d.merges]
+
+
+def test_public_names_resolve():
+    assert [n for n in graphhac.__all__ if not hasattr(graphhac, n)] == []
+    assert len(set(graphhac.__all__)) == len(graphhac.__all__)
 
 
 def test_chain_path_wpgma():
@@ -221,10 +229,36 @@ def test_heap_pops_linear_on_tied_star(heap_impl, monkeypatch):
 
 def test_mirror_and_total_edges_audit(small_graphs):
     for g in small_graphs[:4]:
-        audit = RunAudit(check_mirror=True, check_total_edges=True)
-        chain_hac(g, "single", audit=audit)
-        audit2 = RunAudit(check_mirror=True, check_total_edges=True)
-        heap_hac(g, "complete", audit=audit2)
+        chain_hac(g, "single", audit=RunAudit(checks=True))
+        heap_hac(g, "complete", audit=RunAudit(checks=True))
+
+
+def test_audit_checks_switch(monkeypatch, small_graphs):
+    """RunAudit(checks=True) runs each engine's invariant checks, after every
+    merge or once per run; RunAudit() runs none of them."""
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for owner, name in ((ClusterState, "check_mirror"), (ClusterState, "check_total_edges"),
+                        (average, "_check_in_edges"), (average, "_check_sandwich")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    g = next(g for g in small_graphs if g.n >= 4)
+    merges = g.n - 1  # the test graphs are connected
+    for checks in (False, True):
+        calls.clear()
+        chain_hac(g, "single", audit=RunAudit(checks))
+        heap_hac(g, "complete", audit=RunAudit(checks))
+        exact_avg_hac(g, audit=RunAudit(checks))
+        approx_avg_hac(g, audit=RunAudit(checks))
+        assert calls == (Counter(check_mirror=2 * merges, check_total_edges=2,
+                                 _check_in_edges=merges, _check_sandwich=merges)
+                         if checks else Counter())
 
 
 def test_stack_discipline(small_graphs):

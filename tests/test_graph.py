@@ -98,6 +98,7 @@ def test_validator_catches_violations():
         (((0, 1, 0.5), (2, 2, 0.5)), "self-loop at vertex 2"),
         (((0, 1, 0.5), (2, 1, 0.5)), r"edge \(2,1\) not stored with u < v"),
         (((0, 1, 0.5), (0, 1, 0.7)), r"duplicate edge \(0,1\)"),
+        (((1, 2, 0.5), (0, 1, 0.5)), r"edge \(0,1\) out of sorted order"),
         (((0, 1, 0.5), (1, 2, math.nan)), r"non-finite weight on edge \(1,2\)"),
         (((-1, 1, 0.5),), r"edge \(-1,1\) out of range for n=3"),
     ]:
@@ -357,8 +358,10 @@ def test_knn_errors():
 
 
 def test_pointset_validation():
-    with pytest.raises(ValueError):
-        PointSet(np.zeros((4, 2)), labels=np.zeros(3, dtype=int))
+    for bad in (np.zeros(4), np.zeros((4, 0)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match=r"\(n, d\) array"):
+            PointSet(bad)
+    assert len(PointSet(np.zeros((4, 2)))) == 4
 
 
 def test_points_csv_round_trip(tmp_path):

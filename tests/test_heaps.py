@@ -1,19 +1,40 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphhac.heaps as heap_module
 from graphhac.heaps import (
     _SLACK,
-    TREE_OPS,
     MeldNeighborHeap,
     TreeNeighborHeap,
     new_heap,
 )
 
 IMPLS = [TreeNeighborHeap, MeldNeighborHeap]
+
+
+@pytest.fixture
+def tree_ops(monkeypatch):
+    """Counts the tree heap's node operations in `.count`: node makes and
+    calls of the split, join and rebalance helpers. The helpers call each
+    other through the module globals, so recursive calls are counted too."""
+    ops = SimpleNamespace(count=0)
+
+    def counted(fn):
+        def wrapper(*args):
+            ops.count += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_TNode", "_join", "_join_right", "_join_left", "_split",
+                 "_split_last", "_rebalance"):
+        monkeypatch.setattr(heap_module, name, counted(getattr(heap_module, name)))
+    return ops
 
 
 @pytest.mark.parametrize("cls", IMPLS)
@@ -298,7 +319,7 @@ def test_union_key_sets_match_map_merge_oracle():
         assert dict(merged.entries()) == pytest.approx(expect)
 
 
-def test_tree_union_cost_bound():
+def test_tree_union_cost_bound(tree_ops):
     """Union of tree sizes (s, l) stays within c*s*(log2(l/s+1)+1) node
     operations; observed worst factor is ~3.7, c = 8 documented."""
     c = 8.0
@@ -308,9 +329,9 @@ def test_tree_union_cost_bound():
         l = rng.randint(s, 1500)
         a = TreeNeighborHeap((k, rng.random()) for k in rng.sample(range(8000), s))
         b = TreeNeighborHeap((k, rng.random()) for k in rng.sample(range(8000), l))
-        TREE_OPS.count = 0
+        tree_ops.count = 0
         a.union(b, max)
-        assert TREE_OPS.count <= c * s * (math.log2(l / s + 1) + 1)
+        assert tree_ops.count <= c * s * (math.log2(l / s + 1) + 1)
 
 
 def test_new_heap_factory():
@@ -422,15 +443,15 @@ def test_tree_unsorted_and_duplicate_input():
             TreeNeighborHeap(items)
 
 
-def test_tree_sorted_build_cost():
+def test_tree_sorted_build_cost(tree_ops):
     """A sorted build makes each node once: at most 2d tree operations."""
     for d in (1, 2, 3, 10, 64, 100, 1000):
-        TREE_OPS.count = 0
+        tree_ops.count = 0
         TreeNeighborHeap((k, 1.0 / (k + 1)) for k in range(d))
-        assert TREE_OPS.count <= 2 * d
+        assert tree_ops.count <= 2 * d
 
 
-def test_tree_delete_cost_bound():
+def test_tree_delete_cost_bound(tree_ops):
     """One delete on a d-item tree costs at most c*(log2(d)+1) tree
     operations: the node's children are joined through one _split_last and
     the path above is rebalanced once. Observed worst factor ~1.9 on random
@@ -441,9 +462,9 @@ def test_tree_delete_cost_bound():
         items = [(k, rng.random()) for k in range(d)]
         for key in rng.sample(range(d), min(d, 40)):
             h = TreeNeighborHeap(items)
-            TREE_OPS.count = 0
+            tree_ops.count = 0
             h.delete(key)
-            assert TREE_OPS.count <= c * (math.log2(d) + 1)
+            assert tree_ops.count <= c * (math.log2(d) + 1)
     for _ in range(40):
         h, keys = TreeNeighborHeap(), set()
         for k in rng.sample(range(5000), rng.randint(1, 400)):
@@ -453,6 +474,6 @@ def test_tree_delete_cost_bound():
             h.delete(k)
             keys.discard(k)
         key = rng.choice(sorted(keys))
-        TREE_OPS.count = 0
+        tree_ops.count = 0
         h.delete(key)
-        assert TREE_OPS.count <= c * (math.log2(len(keys)) + 1)
+        assert tree_ops.count <= c * (math.log2(len(keys)) + 1)

@@ -9,22 +9,21 @@ from graphhac.linkage import (
     AVERAGE_KINDS,
     TRIANGLE_KINDS,
     LinkageError,
-    average_weight,
-    combine_weights,
+    combine_fn,
     is_triangle_based,
 )
 
 
 def test_combine_examples():
-    assert combine_weights("wpgma", 0.4, 0.8) == pytest.approx(0.6)
-    assert combine_weights("complete", 0.4, 0.8) == 0.4
-    assert combine_weights("single", 0.4, 0.8) == 0.8
+    assert combine_fn("wpgma")(0.4, 0.8) == pytest.approx(0.6)
+    assert combine_fn("complete")(0.4, 0.8) == 0.4
+    assert combine_fn("single")(0.4, 0.8) == 0.8
 
 
 def test_combine_rejects_average_kinds():
     for kind in AVERAGE_KINDS:
         with pytest.raises(LinkageError):
-            combine_weights(kind, 0.1, 0.2)
+            combine_fn(kind)
 
 
 def test_kind_classification():
@@ -32,13 +31,6 @@ def test_kind_classification():
     assert not any(is_triangle_based(k) for k in AVERAGE_KINDS)
     with pytest.raises(LinkageError):
         is_triangle_based("ward")
-
-
-def test_average_weight():
-    assert average_weight(1.0, 2, 1) == 0.5
-    assert average_weight(0.6, 2, 1) == pytest.approx(0.3)
-    w = 0.123
-    assert average_weight(w, 1, 1) == w
 
 
 @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
