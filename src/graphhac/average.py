@@ -8,7 +8,9 @@ cut(B, C), so the true similarity cut/( |A| * |B| ) is always a pure
 function of current sizes. Neighbor-heap priorities store cut/|B| for the
 entry of B in heap(A); the owner's 1/|A| factor is applied only when a
 weight is extracted, which keeps an owner's own growth from invalidating
-its stored priorities.
+its stored priorities. Since sizes enter the weight, two old priorities do
+not combine into a merged one, so a merge moves the folded cluster's
+entries one by one (`_AvgState.merge_structural`) instead of unioning heaps.
 
 * naive_avg_hac: the eager baseline. After every merge it recomputes the
   weight of every edge incident to the merged cluster and requeues it; the
@@ -22,9 +24,9 @@ its stored priorities.
 * approx_avg_hac: the global-heap loop shared with `heap_hac`
   (`engine._global_heap_loop`) with per-cluster staleness snapshots. A
   cluster whose size outgrows its snapshot by the internal factor (1+delta)
-  rebuilds all incident edges; every merge rewrites the folded side's
-  relabeled entries with true values. Yields an epsilon-close run with
-  delta = sqrt(1/(1-epsilon)) - 1.
+  rebuilds all incident edges; a merge writes true values for the edges it
+  joins and carries the folded side's stored upper bounds over for the
+  rest. Yields an epsilon-close run with delta = sqrt(1/(1-epsilon)) - 1.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import math
 from .dendrogram import Dendrogram, DendrogramBuilder
 from .engine import HeapState, RunAudit, _chain_loop, _global_heap_loop
 from .graph import WeightedGraph
+from .linkage import AVG_APPROX, AVG_EXACT, check_weights
 from .orientation import Orientation, default_cap
 
 
@@ -45,15 +48,12 @@ def delta_from_epsilon(epsilon: float) -> float:
     return math.sqrt(1.0 / (1.0 - epsilon)) - 1.0
 
 
-def _sum(a: float, b: float) -> float:
-    return a + b
-
-
 def naive_avg_hac(graph: WeightedGraph, audit: RunAudit | None = None) -> Dendrogram:
     """Eager exact baseline over plain adjacency maps."""
     n = graph.n
     if n == 0:
         raise ValueError("empty graph")
+    check_weights(AVG_EXACT, graph.edges)
     adj = graph.adjacency()  # neighbor -> cut sum
     size = [1] * n
     active = [True] * n
@@ -113,39 +113,43 @@ class _AvgState(HeapState):
 
     def merge_structural(
         self, a: int, b: int, audit: RunAudit | None
-    ) -> tuple[int, int, list[int], list[int]]:
-        """Fold one side of {a, b} into the other (`fold_order`): add the
-        folded row's cut sums into the survivor's row, union the heaps and
-        write each moved edge's true priority into its neighbor's heap.
+    ) -> tuple[int, int, list[int], set[int]]:
+        """Fold one side of {a, b} into the other (`fold_order`) in one pass
+        over the folded row that leaves each entry it touches final: the cut
+        sums add into the survivor's row, the survivor's heap takes the true
+        priority of each joined edge and the folded heap's stored bound for
+        each new one, and each ex-neighbor's heap swaps its folded entry for
+        the survivor's true priority. The folded heap is left empty.
 
         Returns (folded, survivor, folded's ex-neighbors in increasing id
-        order, those of them that were also the survivor's neighbors)."""
+        order, the set of joined ones among them)."""
         folded, survivor = self.fold_order(a, b)
         if audit is not None:
             audit.merge_degrees.append((self.degree(a), self.degree(b)))
-        heaps, cut = self.heaps, self.cut
+        heaps, cut, size = self.heaps, self.cut, self.size
         row_f, row_s = cut[folded], cut[survivor]
-        mw = row_f.pop(survivor) / (self.size[folded] * self.size[survivor])
+        heap_f, heap_s = heaps[folded], heaps[survivor]
+        mw = row_f.pop(survivor) / (size[folded] * size[survivor])
         del row_s[folded]
-        heaps[folded].delete(survivor)
-        heaps[survivor].delete(folded)
-        self.size[survivor] = new_size = self.size[survivor] + self.size[folded]
+        heap_s.delete(folded)
+        size[survivor] = new_size = size[survivor] + size[folded]
         self.active[folded] = False
         nbrs = sorted(row_f)
-        collisions: list[int] = []
+        collisions: set[int] = set()
         for c in nbrs:
             row_c = cut[c]
             cs = row_c.pop(folded)
             if c in row_s:
                 cs += row_s[c]
-                collisions.append(c)
+                heap_s.update(c, cs / size[c])
+                collisions.add(c)
+            else:
+                heap_s.insert(c, heap_f.get(c))
             row_s[c] = row_c[survivor] = cs
             heaps[c].delete(folded)
             heaps[c].upsert(survivor, cs / new_size)
         row_f.clear()
-        # Union detects key collisions; collided priorities are rewritten with
-        # true values by the callers (stale snapshots cannot be summed).
-        heaps[survivor] = heaps[folded].union(heaps[survivor], _sum)
+        heaps[folded] = type(heap_f)()
         self.builder.record(folded, survivor, mw, new_size)
         return folded, survivor, nbrs, collisions
 
@@ -187,6 +191,7 @@ def exact_avg_hac(
     audit: RunAudit | None = None,
 ) -> Dendrogram:
     """Chain-driver exact UPGMA with a dynamic bounded-outdegree orientation."""
+    check_weights(AVG_EXACT, graph.edges)
     st = _AvgState(graph, heap_impl)
     need = -(-graph.m // graph.n)  # each edge has a tail: some outdegree >= ceil(m/n)
     if delta_cap is not None and delta_cap < need:
@@ -205,15 +210,15 @@ def exact_avg_hac(
         orient.insert_edge(u, v)
 
     def merge(x: int, y: int) -> int:
-        folded, survivor, nbrs, _collisions = st.merge_structural(x, y, audit)
+        folded, survivor, nbrs, collisions = st.merge_structural(x, y, audit)
         # drop the folded side's orientation edges before any reinsertion so
         # cascades never touch a dead cluster; deletions never flip
         orient.delete_edge(x, y)
         for c in nbrs:
             orient.delete_edge(folded, c)
         for c in nbrs:
-            st.heaps[survivor].update(c, st.true_prio(survivor, c))
-            if not orient.has_edge(c, survivor):
+            if c not in collisions:  # the fold left joined entries true
+                st.heaps[survivor].update(c, st.true_prio(survivor, c))
                 orient.insert_edge(c, survivor)  # flips rewrite heads' entries
         for c in orient.out_neighbors(survivor):
             st.heaps[c].update(survivor, st.true_prio(c, survivor))
@@ -277,6 +282,7 @@ def approx_avg_hac(
     shared loop's skip of repeated keys keeps the merges unchanged (see
     `engine._global_heap_loop`)."""
     delta = delta_from_epsilon(epsilon)
+    check_weights(AVG_APPROX, graph.edges)
     st = _AvgState(graph, heap_impl)
     stale_base = [1.0] * graph.n  # size at the last full rebuild
 
@@ -288,10 +294,7 @@ def approx_avg_hac(
         return -(p / st.size[u]), u, nbr
 
     def merge(u: int, v: int) -> int:
-        _folded, survivor, _nbrs, collisions = st.merge_structural(u, v, audit)
-        for c in collisions:
-            # parallel edges joined this cut: write the true value both ways
-            st.heaps[survivor].update(c, st.true_prio(survivor, c))
+        survivor = st.merge_structural(u, v, audit)[1]
         if st.size[survivor] >= (1.0 + delta) * stale_base[survivor]:
             rebuild_cluster(st, stale_base, survivor, audit)
         if audit is not None and audit.checks:

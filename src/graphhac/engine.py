@@ -26,7 +26,7 @@ from typing import Callable
 from .dendrogram import Dendrogram, DendrogramBuilder
 from .graph import WeightedGraph
 from .heaps import new_heap
-from .linkage import LinkageError, combine_fn, is_triangle_based
+from .linkage import LinkageError, check_weights, combine_fn, is_triangle_based
 
 
 class RunAudit:
@@ -92,6 +92,7 @@ class ClusterState(HeapState):
             raise LinkageError(
                 f"{kind!r} is not triangle-based; use the average-linkage engines"
             )
+        check_weights(kind, graph.edges)
         super().__init__(graph.adjacency(), heap_impl)
         self.combine = combine_fn(kind)
         self.total_edges = [len(h) for h in self.heaps]

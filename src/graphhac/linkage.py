@@ -9,6 +9,9 @@ functions only ever see two real weights.
 
 from __future__ import annotations
 
+import sys
+from typing import Iterable
+
 from .heaps import CombineFn
 
 SINGLE = "single"
@@ -20,6 +23,11 @@ AVG_APPROX = "avg-approx"
 TRIANGLE_KINDS = (SINGLE, COMPLETE, WPGMA)
 AVERAGE_KINDS = (AVG_EXACT, AVG_APPROX)
 ALL_KINDS = TRIANGLE_KINDS + AVERAGE_KINDS
+
+
+# Largest weight sum average linkage accepts and largest |w| WPGMA accepts:
+# under it every cut sum, and every (a + b) / 2, stays finite.
+WEIGHT_BOUND = sys.float_info.max / 2
 
 
 class LinkageError(ValueError):
@@ -52,3 +60,32 @@ def combine_fn(kind: str) -> CombineFn:
             f"{kind!r} has no pairwise combine; average linkage merges raw "
             "cut sums, not stored weights"
         ) from None
+
+
+def check_weights(kind: str, edges: Iterable[tuple[int, int, float]]) -> None:
+    """Reject weights `kind` cannot cluster, naming the edge or the sum.
+
+    Average linkage counts a missing edge as cut 0, so a negative weight can
+    make a merge raise a similarity and the chain's merges stop being the
+    greedy ones: it needs w >= 0 and sum(w) <= WEIGHT_BOUND. WPGMA adds two
+    weights per merge: it needs |w| <= WEIGHT_BOUND. Single and complete
+    linkage only compare weights and accept any finite ones."""
+    if kind in AVERAGE_KINDS:
+        total = 0.0
+        for u, v, w in edges:
+            if w < 0.0:
+                raise LinkageError(
+                    f"{kind} needs non-negative weights; edge ({u},{v}) has weight {w!r}"
+                )
+            total += w
+        if total > WEIGHT_BOUND:
+            raise LinkageError(
+                f"{kind} needs a weight sum of at most {WEIGHT_BOUND!r}; "
+                f"the weights sum to {total!r}"
+            )
+    elif kind == WPGMA:
+        for u, v, w in edges:
+            if abs(w) > WEIGHT_BOUND:
+                raise LinkageError(
+                    f"{kind} needs |w| <= {WEIGHT_BOUND!r}; edge ({u},{v}) has weight {w!r}"
+                )

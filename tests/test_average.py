@@ -19,6 +19,7 @@ from graphhac.engine import RunAudit
 from graphhac.evaluation import closeness_audit
 from graphhac.graph import make_graph
 from graphhac.instances import random_connected_graph, star_graph
+from graphhac.linkage import WEIGHT_BOUND
 from graphhac.orientation import Orientation, default_cap
 from graphhac.reference import reference_hac
 
@@ -193,7 +194,18 @@ def test_cut_maps_mirror_contraction(heap_impl):
             a = next((c for c in range(g.n) if st.active[c] and st.cut[c]), None)
             if a is None:
                 break
-            folded, survivor, _nbrs, _collisions = st.merge_structural(a, min(st.cut[a]), None)
+            b = min(st.cut[a])
+            stored = {x: dict(st.heaps[x].entries()) for x in (a, b)}
+            folded, survivor, nbrs, collisions = st.merge_structural(a, b, None)
+            # one pass leaves every touched entry final and the folded heap empty
+            assert len(st.heaps[folded]) == 0
+            assert collisions == {c for c in nbrs if c in stored[survivor]}
+            for c in nbrs:
+                assert st.heaps[c].get(survivor) == st.cut[c][survivor] / st.size[survivor]
+                if c in collisions:
+                    assert st.heaps[survivor].get(c) == st.true_prio(survivor, c)
+                else:
+                    assert st.heaps[survivor].get(c) == stored[folded][c]
             label = [survivor if x == folded else x for x in label]
             expected: defaultdict = defaultdict(float)
             for u, v, w in g.edges:
@@ -296,6 +308,33 @@ def test_exact_rejects_cap_below_edge_density():
     with pytest.raises(ValueError, match="delta_cap 1"):
         exact_avg_hac(k4, delta_cap=1)
     assert same_clustering(exact_avg_hac(k4, delta_cap=2), naive_avg_hac(k4))
+
+
+def _shifted(g, by):
+    return make_graph(g.n, [(u, v, w + by) for u, v, w in g.edges])
+
+
+def test_engines_reject_negative_weights():
+    # shifted by -0.5, exact returned a non-greedy tree unlike naive: a missing
+    # edge counts as cut 0, so a merge can raise a negative similarity
+    g = _shifted(random_connected_graph(1), -0.5)
+    for engine in ALL_ENGINES:
+        with pytest.raises(ValueError, match=r"non-negative weights; edge \("):
+            engine(g)
+    zero = make_graph(3, [(0, 1, 0.0), (1, 2, 0.5)])
+    for engine in ALL_ENGINES:
+        assert merge_weights(engine(zero)) == [0.5, 0.0]
+
+
+def test_engines_reject_overflowing_weight_sum():
+    for engine in ALL_ENGINES:
+        with pytest.raises(ValueError, match="weight sum of at most"):
+            engine(make_graph(3, [(0, 1, 1e308), (1, 2, 1e308)]))
+    # at the bound every cut sum is finite: (B/2 + B/2) / (2 * 1)
+    half = WEIGHT_BOUND / 2
+    g = make_graph(3, [(0, 1, half), (0, 2, half / 2), (1, 2, half / 2)])
+    for engine in ALL_ENGINES:
+        assert all(math.isfinite(w) for w in merge_weights(engine(g)))
 
 
 def test_disconnected_components_forest():

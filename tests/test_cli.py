@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 from graphhac import cli, evaluation
 from graphhac.cli import main
 from graphhac.dendrogram import DendrogramError, load_dendrogram, parse_dendrogram
+from graphhac.heaps import HEAP_IMPLS
+from graphhac.instances import random_connected_graph
 
 PATH_EDGES = "0 1 1.0\n1 2 0.6\n"
 
@@ -233,6 +236,41 @@ def test_exit_code_driver_with_average_linkage(tmp_path, capsys, linkage, driver
     ) == 2
     assert "--driver" in capsys.readouterr().err
     assert not out.exists()
+
+
+WEIGHT_CASES = {
+    # avg-exact returned a non-greedy tree here: a missing edge counts as cut
+    # 0, so a merge can raise a negative similarity
+    "negative": "".join(f"{u} {v} {w - 0.5!r}\n" for u, v, w in random_connected_graph(1).edges),
+    # cut sums and WPGMA means overflow to inf
+    "overflow": "0 2 1e308\n0 3 1e308\n0 4 -1.7e308\n1 2 1.7e308\n"
+    "1 4 1e308\n2 3 1e308\n2 4 1.7e308\n3 4 -1.7e308\n",
+}
+
+
+@pytest.mark.parametrize("heap", HEAP_IMPLS)
+@pytest.mark.parametrize(
+    "linkage, driver",
+    [(k, d) for k in ("single", "complete", "wpgma") for d in ("chain", "heap")]
+    + [("avg-exact", None), ("avg-approx", None)],
+)
+@pytest.mark.parametrize("case", sorted(WEIGHT_CASES))
+def test_exit_code_weights_outside_linkage_domain(tmp_path, capsys, case, linkage, driver, heap):
+    # average linkage needs w >= 0 and a finite weight sum, WPGMA finite means;
+    # single and complete only compare weights
+    inp, out = tmp_path / "g.wel", tmp_path / "d.tsv"
+    inp.write_text(WEIGHT_CASES[case])
+    args = ["hac", "--linkage", linkage, "--heap-impl", heap, "--input", str(inp),
+            "--output", str(out)]
+    code = run_cli(args + (["--driver", driver] if driver else []))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if linkage.startswith("avg") or (linkage == "wpgma" and case == "overflow"):
+        assert code == 5 and not out.exists()
+        assert f"error: {linkage} needs" in err and ("edge (" in err or "weights sum" in err)
+    else:
+        assert code == 0 and err == ""
+        assert all(math.isfinite(m.weight) for m in load_dendrogram(out).merges)
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from graphhac.engine import ClusterState, merge_clusters
+from graphhac.engine import ClusterState, chain_hac, heap_hac, merge_clusters
+from graphhac.graph import make_graph
 from graphhac.instances import random_connected_graph
 from graphhac.linkage import (
     AVERAGE_KINDS,
     TRIANGLE_KINDS,
+    WEIGHT_BOUND,
     LinkageError,
     combine_fn,
     is_triangle_based,
@@ -24,6 +26,18 @@ def test_combine_rejects_average_kinds():
     for kind in AVERAGE_KINDS:
         with pytest.raises(LinkageError):
             combine_fn(kind)
+
+
+@pytest.mark.parametrize("driver", [chain_hac, heap_hac])
+def test_weight_domain_of_triangle_linkages(driver):
+    big = make_graph(3, [(0, 1, 1.7e308), (1, 2, -1.7e308), (0, 2, 1e308)])
+    with pytest.raises(LinkageError, match=r"wpgma needs \|w\| <= .*edge \(0,1\)"):
+        driver(big, "wpgma")
+    for kind in ("single", "complete"):  # they only compare weights
+        assert len(driver(big, kind).merges) == 2
+    # at the bound every mean stays finite, negative weights included
+    edge = make_graph(3, [(0, 1, WEIGHT_BOUND), (1, 2, -WEIGHT_BOUND), (0, 2, WEIGHT_BOUND)])
+    assert all(np.isfinite(m.weight) for m in driver(edge, "wpgma").merges)
 
 
 def test_kind_classification():
