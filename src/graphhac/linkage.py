@@ -1,5 +1,6 @@
-"""Linkage measures: their names and the pairwise combine rules of the
-triangle-based measures. Average (UPGMA) linkage has no pairwise rule; its
+"""Linkage measures: their names, the weights each accepts
+(`check_weights`) and the pairwise combine rules of the triangle-based
+measures. Average (UPGMA) linkage has no pairwise rule; its
 engines in `average` merge raw cut sums.
 
 An absent edge means undefined similarity; absence is represented by key

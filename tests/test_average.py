@@ -310,14 +310,11 @@ def test_exact_rejects_cap_below_edge_density():
     assert same_clustering(exact_avg_hac(k4, delta_cap=2), naive_avg_hac(k4))
 
 
-def _shifted(g, by):
-    return make_graph(g.n, [(u, v, w + by) for u, v, w in g.edges])
-
-
 def test_engines_reject_negative_weights():
     # shifted by -0.5, exact returned a non-greedy tree unlike naive: a missing
     # edge counts as cut 0, so a merge can raise a negative similarity
-    g = _shifted(random_connected_graph(1), -0.5)
+    g = random_connected_graph(1)
+    g = make_graph(g.n, [(u, v, w - 0.5) for u, v, w in g.edges])
     for engine in ALL_ENGINES:
         with pytest.raises(ValueError, match=r"non-negative weights; edge \("):
             engine(g)
