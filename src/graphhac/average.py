@@ -280,7 +280,10 @@ def approx_avg_hac(
     each cluster has at most one copy of that entry queued: stored
     priorities of clusters other than a merge's survivor only fall, so the
     shared loop's skip of repeated keys keeps the merges unchanged (see
-    `engine._global_heap_loop`)."""
+    `engine._global_heap_loop`). A rebuild of x lowers the key of every
+    neighbor whose best edge was x; `rebuilt` hands the loop x's row after
+    one, so when those keys make up at least half the global heap the loop
+    re-keys them and heapifies once instead of popping each one."""
     delta = delta_from_epsilon(epsilon)
     check_weights(AVG_APPROX, graph.edges)
     st = _AvgState(graph, heap_impl)
@@ -301,5 +304,9 @@ def approx_avg_hac(
             _check_sandwich(st, delta)
         return survivor
 
-    _global_heap_loop(graph.n, st.active, best, merge)
+    def rebuilt(x: int) -> dict[int, float] | None:
+        # a rebuild snapshots the size; a merge without one grows x past it
+        return st.cut[x] if stale_base[x] == st.size[x] else None
+
+    _global_heap_loop(graph.n, st.active, best, merge, rebuilt)
     return st.finish()

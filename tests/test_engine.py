@@ -208,11 +208,9 @@ def test_chain_loop_tree_meld_identical_on_ties():
         assert exact_avg_hac(g, heap_impl="meld").merges == tree.merges, g.n
 
 
-@pytest.mark.parametrize("heap_impl", HEAP_IMPLS)
-def test_heap_pops_linear_on_tied_star(heap_impl, monkeypatch):
-    """One queued entry per cluster: on a unit star with a middle hub the
-    global heap pops O(n) times, not hub x (n - hub)."""
-    n = 400
+def global_pops(monkeypatch, run):
+    """(run(), number of `heapq.heappop` calls it made). The neighbor heaps
+    import `heappop` by name, so only the global heap's pops count."""
     pops = 0
     real_pop = heapq.heappop
 
@@ -222,7 +220,31 @@ def test_heap_pops_linear_on_tied_star(heap_impl, monkeypatch):
         return real_pop(heap)
 
     monkeypatch.setattr(heapq, "heappop", counting_pop)
-    d = heap_hac(hub_star(n, n // 2), "single", heap_impl=heap_impl)
+    return run(), pops
+
+
+@pytest.mark.parametrize("heap_impl", HEAP_IMPLS)
+def test_heap_pops_linear_on_tied_star(heap_impl, monkeypatch):
+    """One queued entry per cluster: on a unit star with a middle hub the
+    global heap pops O(n) times, not hub x (n - hub)."""
+    n = 400
+    d, pops = global_pops(
+        monkeypatch, lambda: heap_hac(hub_star(n, n // 2), "single", heap_impl=heap_impl)
+    )
+    assert len(d.merges) == n - 1
+    assert pops <= 3 * n, pops
+
+
+@pytest.mark.parametrize("heap_impl", HEAP_IMPLS)
+@pytest.mark.parametrize("hub", [0, 200])
+def test_approx_pops_linear_on_hub_star(heap_impl, hub, monkeypatch):
+    """Each hub rebuild stales every leaf's queued key; re-keying the global
+    heap once per such rebuild keeps approx's pops O(n), not one per leaf
+    per rebuild (about n log_{1+delta} n)."""
+    n = 400
+    d, pops = global_pops(
+        monkeypatch, lambda: approx_avg_hac(hub_star(n, hub), 0.1, heap_impl=heap_impl)
+    )
     assert len(d.merges) == n - 1
     assert pops <= 3 * n, pops
 

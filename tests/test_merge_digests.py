@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import heapq
 import json
 import sys
 from pathlib import Path
@@ -136,6 +137,26 @@ def test_merges_match_digest(key):
 @pytest.mark.parametrize("key", ORIENT_CASES)
 def test_orientation_log_matches_digest(key):
     assert orientation_digest(key) == stored()[key], key
+
+
+@pytest.mark.parametrize("fam", ["random", "tied"])
+def test_approx_rekey_fires_on_family(fam, monkeypatch):
+    """The global-heap loop's bulk re-key after a large approx rebuild runs
+    on these families, so their approx digests pin it beyond stars. The loop
+    calls `heapify` once to start and once per re-key."""
+    calls = 0
+    real_heapify = heapq.heapify
+
+    def counting_heapify(heap):
+        nonlocal calls
+        calls += 1
+        real_heapify(heap)
+
+    monkeypatch.setattr(heapq, "heapify", counting_heapify)
+    graphs = family(fam)
+    for g in graphs:
+        approx_avg_hac(g, 0.1)
+    assert calls > len(graphs), (calls, len(graphs))
 
 
 if __name__ == "__main__":
