@@ -9,8 +9,10 @@ function of current sizes. Neighbor-heap priorities store cut/|B| for the
 entry of B in heap(A); the owner's 1/|A| factor is applied only when a
 weight is extracted, which keeps an owner's own growth from invalidating
 its stored priorities. Since sizes enter the weight, two old priorities do
-not combine into a merged one, so a merge moves the folded cluster's
-entries one by one (`_AvgState.merge_structural`) instead of unioning heaps.
+not combine into a merged one, so no merge unions heaps: a merge either
+moves the folded cluster's entries one by one (`_AvgState.merge_structural`)
+or, when approx rebuilds the survivor right after, folds only the cut rows
+and lets the rebuild build the survivor's heap once (`_AvgState.fold_rows`).
 
 * naive_avg_hac: the eager baseline. After every merge it recomputes the
   weight of every edge incident to the merged cluster and requeues it; the
@@ -24,7 +26,9 @@ entries one by one (`_AvgState.merge_structural`) instead of unioning heaps.
 * approx_avg_hac: the global-heap loop shared with `heap_hac`
   (`engine._global_heap_loop`) with per-cluster staleness snapshots. A
   cluster whose size outgrows its snapshot by the internal factor (1+delta)
-  rebuilds all incident edges; a merge writes true values for the edges it
+  rebuilds all incident edges. A balanced merge that rebuilds its survivor
+  folds only the rows, and the rebuild writes each entry once
+  (`rebuild_cluster`); any other merge writes true values for the edges it
   joins and carries the folded side's stored upper bounds over for the
   rest. Yields an epsilon-close run with delta = sqrt(1/(1-epsilon)) - 1.
 """
@@ -37,6 +41,7 @@ import math
 from .dendrogram import Dendrogram, DendrogramBuilder
 from .engine import HeapState, RunAudit, _chain_loop, _global_heap_loop
 from .graph import WeightedGraph
+from .heaps import new_heap
 from .linkage import AVG_APPROX, AVG_EXACT, check_weights
 from .orientation import Orientation, default_cap
 
@@ -111,6 +116,22 @@ class _AvgState(HeapState):
     def stored_weight(self, owner: int, nbr: int) -> float:
         return self.heaps[owner].get(nbr) / self.size[owner]
 
+    def _start_merge(self, a: int, b: int, audit: RunAudit | None) -> tuple[int, int]:
+        """The part of a merge of a and b that both folds share: pick the
+        folded side (`fold_order`), drop the cut between them from both rows,
+        grow the survivor, retire the folded cluster and record the merge.
+        Returns (folded, survivor)."""
+        folded, survivor = self.fold_order(a, b)
+        if audit is not None:
+            audit.merge_degrees.append((self.degree(a), self.degree(b)))
+        cut, size = self.cut, self.size
+        mw = cut[folded].pop(survivor) / (size[folded] * size[survivor])
+        del cut[survivor][folded]
+        size[survivor] += size[folded]
+        self.active[folded] = False
+        self.builder.record(folded, survivor, mw, size[survivor])
+        return folded, survivor
+
     def merge_structural(
         self, a: int, b: int, audit: RunAudit | None
     ) -> tuple[int, int, list[int], set[int]]:
@@ -123,17 +144,12 @@ class _AvgState(HeapState):
 
         Returns (folded, survivor, folded's ex-neighbors in increasing id
         order, the set of joined ones among them)."""
-        folded, survivor = self.fold_order(a, b)
-        if audit is not None:
-            audit.merge_degrees.append((self.degree(a), self.degree(b)))
+        folded, survivor = self._start_merge(a, b, audit)
         heaps, cut, size = self.heaps, self.cut, self.size
         row_f, row_s = cut[folded], cut[survivor]
         heap_f, heap_s = heaps[folded], heaps[survivor]
-        mw = row_f.pop(survivor) / (size[folded] * size[survivor])
-        del row_s[folded]
+        new_size = size[survivor]
         heap_s.delete(folded)
-        size[survivor] = new_size = size[survivor] + size[folded]
-        self.active[folded] = False
         nbrs = sorted(row_f)
         collisions: set[int] = set()
         for c in nbrs:
@@ -150,8 +166,26 @@ class _AvgState(HeapState):
             heaps[c].upsert(survivor, cs / new_size)
         row_f.clear()
         heaps[folded] = type(heap_f)()
-        self.builder.record(folded, survivor, mw, new_size)
         return folded, survivor, nbrs, collisions
+
+    def fold_rows(self, a: int, b: int, audit: RunAudit | None) -> int:
+        """Fold one side of {a, b} into the other for a merge whose survivor
+        is rebuilt right after: only the cut rows are folded, and each
+        ex-neighbor's heap loses its folded entry. Both merged heaps are left
+        empty, so `rebuild_cluster` builds the survivor's once from its row
+        and writes each neighbor's entry for it once. Returns the survivor."""
+        folded, survivor = self._start_merge(a, b, audit)
+        heaps, cut = self.heaps, self.cut
+        row_f, row_s = cut[folded], cut[survivor]
+        for c, cs in row_f.items():
+            row_c = cut[c]
+            del row_c[folded]
+            heaps[c].delete(folded)
+            row_s[c] = row_c[survivor] = cs + row_s.get(c, 0.0)
+        row_f.clear()
+        empty = type(heaps[folded])
+        heaps[folded], heaps[survivor] = empty(), empty()
+        return survivor
 
 
 def refresh_out_edges(state: _AvgState, orient: Orientation, a: int) -> None:
@@ -169,15 +203,30 @@ def rebuild_cluster(
     audit: RunAudit | None = None,
 ) -> None:
     """Write the true similarity of every edge incident to x into both
-    endpoint heaps and reset x's staleness snapshot to its current size."""
-    xsz = state.size[x]
-    row = state.cut[x]
-    for c, prio in list(state.heaps[x].entries()):
-        cs = row[c]
-        tp = cs / state.size[c]
-        if prio != tp:  # prio is in hand: skipping saves the tree a descent
-            state.heaps[x].update(c, tp)
-        state.heaps[c].update(x, cs / xsz)
+    endpoint heaps and reset x's staleness snapshot to its current size.
+
+    x's heap arrives in one of two states, set by the merge that grew x.
+    After a balanced merge, where 2 deg(folded) >= deg(survivor),
+    `_AvgState.fold_rows` left it empty: it is built once from x's row with
+    true priorities, and each neighbor's entry for x is upserted once. After
+    any other merge `_AvgState.merge_structural` left it keyed like x's row,
+    and it is walked in place. On a star's hub merges the folded row is
+    empty and the hub's entries are already true, so the walk costs one
+    comparison per entry where a fresh build would rebuild the whole heap."""
+    heaps, size, row = state.heaps, state.size, state.cut[x]
+    xsz = size[x]
+    heap = heaps[x]
+    if len(heap) < len(row):  # emptied by fold_rows
+        heaps[x] = new_heap(state.heap_impl, [(c, cs / size[c]) for c, cs in row.items()])
+        for c, cs in row.items():
+            heaps[c].upsert(x, cs / xsz)
+    else:
+        for c, prio in list(heap.entries()):
+            cs = row[c]
+            tp = cs / size[c]
+            if prio != tp:  # prio is in hand: skipping saves the tree a descent
+                heap.update(c, tp)
+            heaps[c].update(x, cs / xsz)
     stale_base[x] = float(xsz)
     if audit is not None:
         audit.rebuild_counts[x] = audit.rebuild_counts.get(x, 0) + 1
@@ -283,7 +332,15 @@ def approx_avg_hac(
     `engine._global_heap_loop`). A rebuild of x lowers the key of every
     neighbor whose best edge was x; `rebuilt` hands the loop x's row after
     one, so when those keys make up at least half the global heap the loop
-    re-keys them and heapifies once instead of popping each one."""
+    re-keys them and heapifies once instead of popping each one.
+
+    A merge rebuilds its survivor when the merged size reaches (1+delta)
+    times the survivor's snapshot, which is known before the merge and at
+    epsilon = 0.1 holds for nearly every merge on sparse graphs. If it is
+    also balanced, 2 deg(folded) >= deg(survivor), only the cut rows are
+    folded and the rebuild builds the survivor's heap once. A star's hub
+    merges are not balanced and keep the moves and the in-place walk, since
+    the hub's entries are already true (`rebuild_cluster`)."""
     delta = delta_from_epsilon(epsilon)
     check_weights(AVG_APPROX, graph.edges)
     st = _AvgState(graph, heap_impl)
@@ -297,8 +354,13 @@ def approx_avg_hac(
         return -(p / st.size[u]), u, nbr
 
     def merge(u: int, v: int) -> int:
-        survivor = st.merge_structural(u, v, audit)[1]
-        if st.size[survivor] >= (1.0 + delta) * stale_base[survivor]:
+        folded, survivor = st.fold_order(u, v)
+        rebuilds = st.size[u] + st.size[v] >= (1.0 + delta) * stale_base[survivor]
+        if rebuilds and 2 * st.degree(folded) >= st.degree(survivor):
+            st.fold_rows(u, v, audit)
+        else:
+            st.merge_structural(u, v, audit)
+        if rebuilds:
             rebuild_cluster(st, stale_base, survivor, audit)
         if audit is not None and audit.checks:
             _check_sandwich(st, delta)

@@ -65,6 +65,7 @@ class HeapState:
         if not adj:
             raise ValueError("empty graph")
         self.n = n = len(adj)
+        self.heap_impl = heap_impl
         self.active = [True] * n
         self.size = [1] * n
         self.heaps = [new_heap(heap_impl, sorted(row.items())) for row in adj]

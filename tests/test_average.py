@@ -243,22 +243,60 @@ def test_rebuild_counter_bound(small_graphs):
 
 def test_rebuild_cluster_direct():
     g = make_graph(4, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.25)])
-    st = _AvgState(g, "tree")
-    stale = [1.0] * 4
-    st.merge_structural(0, 1, None)  # folds 0 into 1: size 2
-    # make 1's entries stale on the neighbor side by hand
-    st.heaps[2].update(1, 99.0)
-    rebuild_cluster(st, stale, 1)
-    assert stale[1] == 2.0
-    assert st.heaps[2].get(1) == pytest.approx(0.5 / 2)
-    assert st.heaps[3].get(1) == pytest.approx(0.25 / 2)
-    # stored priorities in heap(1) equal cut/|nbr| exactly after a rebuild
-    for c, prio in st.heaps[1].entries():
-        assert prio == st.true_prio(1, c)
-    # rebuilding a never-grown cluster only resets the snapshot
-    before = dict(st.heaps[2].entries())
-    rebuild_cluster(st, stale, 2)
-    assert dict(st.heaps[2].entries()) == before and stale[2] == 1.0
+    # both heaps, after a merge that moves entries and after one that folds
+    # only the rows and leaves the survivor's heap for the rebuild to build
+    for heap_impl in ("tree", "meld"):
+        for fold in ("merge_structural", "fold_rows"):
+            st = _AvgState(g, heap_impl)
+            stale = [1.0] * 4
+            getattr(st, fold)(0, 1, None)  # folds 0 into 1: size 2
+            # make 1's entries stale on the neighbor side by hand
+            st.heaps[2].update(1, 99.0)
+            rebuild_cluster(st, stale, 1)
+            assert stale[1] == 2.0
+            assert st.heaps[2].get(1) == pytest.approx(0.5 / 2)
+            assert st.heaps[3].get(1) == pytest.approx(0.25 / 2)
+            # stored priorities in heap(1) equal cut/|nbr| exactly after a rebuild
+            assert sorted(st.heaps[1].keys()) == sorted(st.cut[1])
+            for c, prio in st.heaps[1].entries():
+                assert prio == st.true_prio(1, c)
+            # rebuilding a never-grown cluster only resets the snapshot
+            before = dict(st.heaps[2].entries())
+            rebuild_cluster(st, stale, 2)
+            assert dict(st.heaps[2].entries()) == before and stale[2] == 1.0
+
+
+@pytest.mark.parametrize("heap_impl", ["tree", "meld"])
+def test_balanced_rebuilding_merge_writes_each_entry_once(heap_impl, monkeypatch):
+    # 0 and 1 have degree 3 each, so approx folds only their rows: 2 is new
+    # to 1, 3 is joined and 4 was 1's own neighbor
+    g = make_graph(6, [(0, 1, 1.0), (0, 2, 0.5), (0, 3, 0.4), (1, 3, 0.3),
+                       (1, 4, 0.2), (4, 5, 0.1)])
+    st = _AvgState(g, heap_impl)
+    stale = [1.0] * g.n
+    writes = []
+    cls = type(st.heaps[0])
+    for op in ("insert", "update", "upsert"):
+        real = getattr(cls, op)
+
+        def counted(h, key, prio, real=real):
+            writes.append((h, key))
+            real(h, key, prio)
+
+        monkeypatch.setattr(cls, op, counted)
+    survivor = st.fold_rows(0, 1, None)
+    rebuild_cluster(st, stale, survivor)
+    assert survivor == 1 and stale[1] == 2.0
+    # no per-entry moves: the survivor's heap is built, each neighbor's
+    # entry for the survivor is written once, and nothing else is written
+    owner = {id(h): c for c, h in enumerate(st.heaps)}
+    assert sorted((owner[id(h)], key) for h, key in writes) == [(2, 1), (3, 1), (4, 1)]
+    assert sorted(st.heaps[1].keys()) == [2, 3, 4]
+    for c in (2, 3, 4):
+        assert st.heaps[1].get(c) == st.true_prio(1, c)
+        assert st.heaps[c].get(1) == st.true_prio(c, 1)
+        assert 0 not in st.heaps[c]
+    assert len(st.heaps[0]) == 0 and not st.cut[0]
 
 
 def test_refresh_out_edges_direct():

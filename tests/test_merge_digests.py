@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 from test_engine import hub_star, tied_graph
 
-from graphhac.average import approx_avg_hac, exact_avg_hac, naive_avg_hac
+from graphhac import average
+from graphhac.average import _AvgState, approx_avg_hac, exact_avg_hac, naive_avg_hac
 from graphhac.engine import RunAudit, chain_hac, heap_hac
 from graphhac.graph import build_knn_graph, load_points_csv, make_graph
 from graphhac.heaps import HEAP_IMPLS
@@ -157,6 +158,32 @@ def test_approx_rekey_fires_on_family(fam, monkeypatch):
     for g in graphs:
         approx_avg_hac(g, 0.1)
     assert calls > len(graphs), (calls, len(graphs))
+
+
+@pytest.mark.parametrize("fam", ["random", "tied"])
+def test_approx_rebuild_branches_fire_on_family(fam, monkeypatch):
+    """Both ways an approx merge rebuilds its survivor run on these families
+    at epsilon 0.1, so their approx digests pin both: a balanced merge folds
+    only the rows and the rebuild builds the survivor's heap fresh, any
+    other moves the folded entries and the rebuild walks the heap."""
+    fresh = rebuilds = 0
+    real_fold_rows, real_rebuild = _AvgState.fold_rows, average.rebuild_cluster
+
+    def fold_rows(*args):
+        nonlocal fresh
+        fresh += 1
+        return real_fold_rows(*args)
+
+    def rebuild_cluster(*args):
+        nonlocal rebuilds
+        rebuilds += 1
+        return real_rebuild(*args)
+
+    monkeypatch.setattr(_AvgState, "fold_rows", fold_rows)
+    monkeypatch.setattr(average, "rebuild_cluster", rebuild_cluster)
+    for g in family(fam):
+        approx_avg_hac(g, 0.1)
+    assert 0 < fresh < rebuilds, (fresh, rebuilds)
 
 
 if __name__ == "__main__":
