@@ -210,9 +210,11 @@ def rebuild_cluster(
     `_AvgState.fold_rows` left it empty: it is built once from x's row with
     true priorities, and each neighbor's entry for x is upserted once. After
     any other merge `_AvgState.merge_structural` left it keyed like x's row,
-    and it is walked in place. On a star's hub merges the folded row is
-    empty and the hub's entries are already true, so the walk costs one
-    comparison per entry where a fresh build would rebuild the whole heap."""
+    and the walk over x's row updates both ends of each edge in place. On a
+    star's hub merges the folded row is empty and the hub's entries are
+    already true; a heap answers a write of the priority it already stores
+    with one table lookup, so the walk costs one lookup per hub entry where
+    a fresh build would rebuild the whole heap."""
     heaps, size, row = state.heaps, state.size, state.cut[x]
     xsz = size[x]
     heap = heaps[x]
@@ -221,11 +223,8 @@ def rebuild_cluster(
         for c, cs in row.items():
             heaps[c].upsert(x, cs / xsz)
     else:
-        for c, prio in list(heap.entries()):
-            cs = row[c]
-            tp = cs / size[c]
-            if prio != tp:  # prio is in hand: skipping saves the tree a descent
-                heap.update(c, tp)
+        for c, cs in row.items():
+            heap.update(c, cs / size[c])
             heaps[c].update(x, cs / xsz)
     stale_base[x] = float(xsz)
     if audit is not None:

@@ -250,7 +250,8 @@ def _cmd_selftest(args) -> int:
     # function of cluster contents (single, complete). WPGMA weights depend
     # on merge interleaving when edges are missing, so the chain driver is
     # only required to emit a structurally valid mutual-best dendrogram.
-    ok_tri, ok_repr, detail = True, True, ""
+    # Every heap-backed engine must merge identically on both heaps.
+    ok_tri, detail, repr_fail = True, "", ""
     for t in range(trials):
         g = instances.random_connected_graph(args.seed * 100003 + t)
         for kind in linkage.TRIANGLE_KINDS:
@@ -263,13 +264,13 @@ def _cmd_selftest(args) -> int:
             if not ok:
                 ok_tri, detail = False, f"trial {t} kind {kind}"
                 break
-            meld_d = engine.chain_hac(g, kind, heap_impl="meld")
-            if meld_d.merges != chain.merges:
-                ok_repr = False
+            for name, run, tree_d in (("chain", engine.chain_hac, chain),
+                                      ("heap", engine.heap_hac, heap_d)):
+                if run(g, kind, heap_impl="meld").merges != tree_d.merges:
+                    repr_fail = f"{name}_hac {kind} trial {t}"
         if not ok_tri:
             break
     check("triangle-oracle-equivalence", ok_tri, detail)
-    check("heap-representation-equivalence", ok_repr)
 
     ok_avg, ok_close, detail = True, True, ""
     for t in range(trials):
@@ -284,8 +285,13 @@ def _cmd_selftest(args) -> int:
         approx = average.approx_avg_hac(g, 0.1)
         if not evaluation.closeness_audit(g, approx, 0.1).passed:
             ok_close, detail = False, f"approx trial {t}"
+        if average.exact_avg_hac(g, heap_impl="meld").merges != exact.merges:
+            repr_fail = f"exact_avg_hac trial {t}"
+        if average.approx_avg_hac(g, 0.1, heap_impl="meld").merges != approx.merges:
+            repr_fail = f"approx_avg_hac trial {t}"
     check("average-oracle-equivalence", ok_avg, detail)
     check("closeness-audit", ok_close, detail)
+    check("heap-representation-equivalence", not repr_fail, repr_fail)
     return EXIT_OK if not failures else EXIT_SELFTEST
 
 

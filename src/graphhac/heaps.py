@@ -2,23 +2,31 @@
 
 Two interchangeable representations with identical observable behavior:
 
-* TreeNeighborHeap: a join-based AVL tree keyed by neighbor id, augmented
-  with the subtree max priority. Union of sizes (s, l), s <= l, costs
-  O(s log(l/s + 1)) tree operations (node makes, split and join calls,
-  rebalance steps); BestEdge costs O(log n). Construction
-  sorts the items (one linear pass on the sorted lists the engines pass) and
-  builds one node per item, middle item at the root: O(d) tree operations,
-  KeyError on a duplicate key. Insert and delete descend once and rebalance
-  that path; delete joins the node's children through a single _split_last
-  of the left child. Update changes no shape, so it recomputes only maxp,
-  from the node up to the first unchanged ancestor: O(log d) at worst.
+* TreeNeighborHeap: a hash table key -> priority, which is the truth for
+  get, len and membership, plus a join-based AVL tree keyed by neighbor id
+  and augmented with the subtree max priority, which answers BestEdge in
+  O(log d). A write of the priority already stored returns after the table
+  lookup. Construction builds one node per item from the sorted items
+  (one linear pass on the sorted lists the engines pass), middle item at
+  the root and one-item ranges made leaves directly: O(d) tree operations,
+  KeyError on a duplicate key. Insert and delete descend once and
+  rebalance upward only until an ancestor keeps its place, height and
+  maxp; delete joins the node's children through a single _split_last of
+  the left child. A changed priority keeps the shape: a rise lifts maxp on
+  the way down, a fall recomputes it from the node up to the first
+  unchanged ancestor, O(log d) at worst. Union writes the smaller table
+  into the larger, one combine per shared key, and unions the trees by
+  splitting the taller by the shorter one's root (Blelloch, Ferizovic and
+  Sun, SPAA 2016); nodes carry no subtree sizes. For sizes s <= l that
+  costs O(s log(l/s + 1)) tree operations (node makes, split and join
+  calls, rebalance steps).
 * MeldNeighborHeap: a hash table key -> priority, which is the truth, plus a
   `heapq` list of (-priority, key) entries that is cleaned lazily: a write
-  pushes an entry, delete only touches the table, and BestEdge pops entries
-  that no longer match the table. The list is rebuilt from the table once it
-  outgrows twice the table, so point edits cost amortized O(log d). Union
-  writes the smaller table into the larger and pushes each written key:
-  O(s log l) for sizes s <= l.
+  of a changed priority pushes an entry, delete only touches the table, and
+  BestEdge pops entries that no longer match the table. The list is rebuilt
+  from the table once it outgrows twice the table, so point edits cost
+  amortized O(log d). Union writes the smaller table into the larger and
+  pushes each written key: O(s log l) for sizes s <= l.
 
 best_edge ties always break toward the smaller key; priorities are compared
 exactly (no epsilons inside the structure). entries() runs in key order on
@@ -45,7 +53,7 @@ _SLACK = 16
 
 
 class _TNode:
-    __slots__ = ("key", "prio", "left", "right", "height", "size", "maxp")
+    __slots__ = ("key", "prio", "left", "right", "height", "maxp")
 
     def __init__(self, key: int, prio: float):
         self.key = key
@@ -53,7 +61,6 @@ class _TNode:
         self.left = None
         self.right = None
         self.height = 1
-        self.size = 1
         self.maxp = prio
 
 
@@ -62,27 +69,23 @@ def _h(t) -> int:
 
 
 def _fix(t) -> None:
-    """Recompute t's height, size and maxp from its children."""
+    """Recompute t's height and maxp from its children."""
     l, r = t.left, t.right
     m = t.prio
     if l is None:
         if r is None:
             t.height = 1
-            t.size = 1
         else:
             t.height = r.height + 1
-            t.size = r.size + 1
             if r.maxp > m:
                 m = r.maxp
     elif r is None:
         t.height = l.height + 1
-        t.size = l.size + 1
         if l.maxp > m:
             m = l.maxp
     else:
         hl, hr = l.height, r.height
         t.height = (hl if hl > hr else hr) + 1
-        t.size = l.size + r.size + 1
         if l.maxp > m:
             m = l.maxp
         if r.maxp > m:
@@ -195,20 +198,24 @@ def _join2(l, r):
 
 
 def _build(items, lo: int, hi: int):
-    """Balanced tree over items[lo:hi], sorted by key: the middle item is the
-    root, so sibling sizes (hence heights) differ by at most one. Each index
-    is a middle once, so comparing it with its left neighbour in the whole
-    list finds every duplicate key."""
-    if lo >= hi:
-        return None
+    """Balanced tree over the non-empty range items[lo:hi], sorted by
+    distinct keys: the middle item is the root, so sibling sizes (hence
+    heights) differ by at most one, and the left range, never the shorter,
+    sets the height. A one-item range becomes a leaf without recursing, and
+    each node's height and maxp are set from its children as it is made."""
     mid = (lo + hi) // 2
     k, p = items[mid]
-    if mid and items[mid - 1][0] == k:
-        raise KeyError(f"insert: key {k} already present")
-    t = _TNode(k, float(p))
-    t.left = _build(items, lo, mid)
-    t.right = _build(items, mid + 1, hi)
-    _fix(t)
+    t = _TNode(k, p)
+    if lo < mid:
+        l = t.left = _build(items, lo, mid)
+        t.height = l.height + 1
+        if l.maxp > p:
+            p = l.maxp
+        if mid + 1 < hi:
+            r = t.right = _build(items, mid + 1, hi)
+            if r.maxp > p:
+                p = r.maxp
+        t.maxp = p
     return t
 
 
@@ -224,9 +231,31 @@ def _descend(t, key):
     return t, path
 
 
-def _refresh_maxp(t, path) -> None:
-    """t's priority changed, the shape did not: recompute maxp from t up its
-    path, stopping at the first node whose maxp comes out unchanged."""
+def _reprioritize(t, key, old: float, new: float) -> None:
+    """Change the priority of key, present in tree t, from old to a different
+    new one; the shape stays. A rise lifts every maxp on the path to at least
+    new in one descent. A fall can only lower the nodes whose maxp was old,
+    which end the path; they are recomputed bottom-up, stopping at the first
+    one whose maxp comes out unchanged."""
+    if new > old:
+        while True:
+            if t.maxp < new:
+                t.maxp = new
+            k = t.key
+            if key == k:
+                t.prio = new
+                return
+            t = t.left if key < k else t.right
+    path = []
+    k = t.key
+    while key != k:
+        if t.maxp == old:
+            path.append(t)
+        t = t.left if key < k else t.right
+        k = t.key
+    t.prio = new
+    if t.maxp != old:  # a larger priority below t keeps every maxp
+        return
     while True:
         m = t.prio
         l, r = t.left, t.right
@@ -263,83 +292,118 @@ def _rebalance(t):
 def _replace(path, key, t):
     """Put subtree t where the descent `path` for `key` ended (a new leaf, or
     the join of a deleted node's children, either within one level of the
-    old height) and rebalance up to the root; returns the new root."""
+    old height) and rebalance upward. The walk stops at the first ancestor
+    that neither rotates nor changes its height or maxp, since nothing above
+    it can change; returns the root."""
+    root = path[0] if path else t
     while path:
         p = path.pop()
         if key < p.key:
             p.left = t
         else:
             p.right = t
+        h, m = p.height, p.maxp
         t = _rebalance(p)
+        if t is p and p.height == h and p.maxp == m:
+            return root
     return t
 
 
-def _tree_union(a, b, combine: CombineFn):
+def _tree_union(a, b, tab: dict[int, float]):
+    """Join-based union (Blelloch, Ferizovic and Sun, SPAA 2016): split the
+    taller tree by the shorter one's root key and union the two sides. `tab`
+    already holds the merged priorities, so a key found in both trees takes
+    its priority from it."""
     if a is None:
         return b
     if b is None:
         return a
-    if a.size < b.size:
-        a, b = b, a  # split the larger by keys of the smaller; combine is commutative
+    if a.height < b.height:
+        a, b = b, a
     l, f, r = _split(a, b.key)
     bl, br = b.left, b.right
     if f is not _MISSING:
-        b.prio = combine(f, b.prio)
-    lt = _tree_union(l, bl, combine)
-    rt = _tree_union(r, br, combine)
-    return _join(lt, b, rt)
+        b.prio = tab[b.key]
+    return _join(_tree_union(l, bl, tab), b, _tree_union(r, br, tab))
+
+
+def _relabel(self, old_key: int, new_key: int, combine: CombineFn) -> None:
+    """Move old_key's priority to new_key, combined with new_key's own
+    priority if it has one. Assigned in both heap class bodies, so each
+    class defines its own `relabel`."""
+    prio = self.delete(old_key)
+    ex = self._tab.get(new_key)
+    if ex is None:
+        self.insert(new_key, prio)
+    else:
+        self.update(new_key, combine(ex, prio))
 
 
 class TreeNeighborHeap:
-    """Augmented balanced tree representation (deterministic)."""
+    """Augmented balanced tree representation (deterministic).
 
-    __slots__ = ("_root",)
+    `_tab` maps key -> priority and is the truth for get, len and
+    membership, as in MeldNeighborHeap; `_root` holds the same entries as a
+    tree ordered by key, with subtree max priorities for best_edge. A write
+    of the priority already stored returns without touching the tree."""
+
+    __slots__ = ("_root", "_tab")
 
     def __init__(self, items: Iterable[tuple[int, float]] = ()):
-        items = sorted(items)  # one linear pass when already sorted by key
-        self._root = _build(items, 0, len(items))
+        items = list(items)
+        tab = {k: float(p) for k, p in items}
+        if len(tab) != len(items):
+            raise KeyError("insert: duplicate key in items")
+        self._tab = tab
+        # one linear pass when the items arrive sorted by key
+        self._root = _build(sorted(tab.items()), 0, len(tab)) if tab else None
 
     def __len__(self) -> int:
-        return self._root.size if self._root is not None else 0
+        return len(self._tab)
 
     def __contains__(self, key: int) -> bool:
-        return self.get(key) is not None
+        return key in self._tab
 
     def get(self, key: int) -> float | None:
-        t = self._root
-        while t is not None:
-            if key == t.key:
-                return t.prio
-            t = t.left if key < t.key else t.right
-        return None
+        return self._tab.get(key)
 
     def insert(self, key: int, prio: float) -> None:
-        t, path = _descend(self._root, key)
-        if t is not None:
+        tab = self._tab
+        if key in tab:
             raise KeyError(f"insert: key {key} already present")
+        tab[key] = prio
+        _, path = _descend(self._root, key)
         self._root = _replace(path, key, _TNode(key, prio))
 
     def update(self, key: int, prio: float) -> None:
-        t, path = _descend(self._root, key)
-        if t is None:
+        tab = self._tab
+        old = tab.get(key)
+        if old is None:
             raise KeyError(f"update: key {key} absent")
-        t.prio = prio
-        _refresh_maxp(t, path)
+        if old == prio:
+            return
+        tab[key] = prio
+        _reprioritize(self._root, key, old, prio)
 
     def upsert(self, key: int, prio: float) -> None:
-        t, path = _descend(self._root, key)
-        if t is None:
+        tab = self._tab
+        old = tab.get(key)
+        if old == prio:
+            return
+        tab[key] = prio
+        if old is None:
+            _, path = _descend(self._root, key)
             self._root = _replace(path, key, _TNode(key, prio))
         else:
-            t.prio = prio
-            _refresh_maxp(t, path)
+            _reprioritize(self._root, key, old, prio)
 
     def delete(self, key: int) -> float:
-        t, path = _descend(self._root, key)
-        if t is None:
+        prio = self._tab.pop(key, None)
+        if prio is None:
             raise KeyError(f"delete: key {key} absent")
+        t, path = _descend(self._root, key)
         self._root = _replace(path, key, _join2(t.left, t.right))
-        return t.prio
+        return prio
 
     def best_edge(self) -> tuple[int, float]:
         t = self._root
@@ -355,19 +419,21 @@ class TreeNeighborHeap:
                 t = t.right
 
     def union(self, other: "TreeNeighborHeap", combine: CombineFn) -> "TreeNeighborHeap":
-        """Destructive on both operands; returns the merged heap."""
-        self._root = _tree_union(self._root, other._root, combine)
+        """Destructive on both operands; returns the merged heap. The smaller
+        table is written into the larger, one combine per key in both, and
+        the trees are joined by `_tree_union`."""
+        tab, small = self._tab, other._tab
+        if len(tab) < len(small):
+            tab, small = small, tab
+        for key, prio in small.items():
+            lp = tab.get(key)
+            tab[key] = prio if lp is None else combine(lp, prio)
+        self._tab, other._tab = tab, {}
+        self._root = _tree_union(self._root, other._root, tab)
         other._root = None
         return self
 
-    def relabel(self, old_key: int, new_key: int, combine: CombineFn) -> None:
-        prio = self.delete(old_key)
-        t, path = _descend(self._root, new_key)
-        if t is None:
-            self._root = _replace(path, new_key, _TNode(new_key, prio))
-        else:
-            t.prio = combine(t.prio, prio)
-            _refresh_maxp(t, path)
+    relabel = _relabel
 
     def entries(self) -> Iterator[tuple[int, float]]:
         """In increasing key order."""
@@ -486,13 +552,7 @@ class MeldNeighborHeap:
             large._compact()
         return large
 
-    def relabel(self, old_key: int, new_key: int, combine: CombineFn) -> None:
-        prio = self.delete(old_key)
-        ex = self._tab.get(new_key)
-        if ex is None:
-            self.insert(new_key, prio)
-        else:
-            self.update(new_key, combine(ex, prio))
+    relabel = _relabel
 
     def entries(self) -> Iterator[tuple[int, float]]:
         return iter(self._tab.items())

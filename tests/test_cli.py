@@ -157,6 +157,7 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "ok triangle-oracle-equivalence" in out
     assert "ok average-oracle-equivalence" in out
+    assert "ok heap-representation-equivalence" in out
 
 
 def test_exit_code_missing_file(tmp_path):

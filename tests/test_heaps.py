@@ -55,12 +55,28 @@ def test_point_edits(cls):
 
 
 @pytest.mark.parametrize("cls", IMPLS)
-def test_update_to_same_priority_changes_nothing(cls):
-    h = cls([(1, 0.5), (2, 0.9), (3, 0.9)])
-    before = list(h.entries())
-    h.update(1, 0.5)  # meld skips the write and pushes no heap entry
-    assert list(h.entries()) == before
-    assert h.best_edge() == (2, 0.9)
+def test_update_to_same_priority_changes_nothing(cls, tree_ops, monkeypatch):
+    """update/upsert of the priority already stored return from the key
+    table: the tree is not descended and makes no node operation, and meld
+    pushes nothing onto its lazy list."""
+
+    def no_descent(*args):
+        raise AssertionError("a write of the stored priority descended the tree")
+
+    items = [(k, (k % 5) / 4) for k in range(64)]
+    h = cls(items)
+    for name in ("_descend", "_reprioritize"):
+        monkeypatch.setattr(heap_module, name, no_descent)
+    pushed = len(h._heap) if cls is MeldNeighborHeap else None
+    tree_ops.count = 0
+    for k, p in items:
+        h.update(k, p)
+        h.upsert(k, p)
+    assert tree_ops.count == 0
+    if pushed is not None:
+        assert len(h._heap) == pushed
+    assert sorted(h.entries()) == items
+    assert h.best_edge() == (4, 1.0)
 
 
 @pytest.mark.parametrize("cls", IMPLS)
@@ -342,22 +358,26 @@ def test_new_heap_factory():
 
 
 def check_tree(h):
-    """Walk a TreeNeighborHeap: BST order, AVL balance, and every node's
-    height, size and maxp equal to what its subtrees give."""
+    """Walk a TreeNeighborHeap: BST order, AVL balance, every node's height
+    and maxp equal to what its subtrees give, and the nodes' (key, priority)
+    pairs equal to the key table, so the node count is len(h)."""
+    nodes = {}
 
     def walk(t, lo, hi):
         if t is None:
-            return 0, 0, -math.inf
+            return 0, -math.inf
         assert (lo is None or lo < t.key) and (hi is None or t.key < hi)
-        hl, sl, ml = walk(t.left, lo, t.key)
-        hr, sr, mr = walk(t.right, t.key, hi)
+        nodes[t.key] = t.prio
+        hl, ml = walk(t.left, lo, t.key)
+        hr, mr = walk(t.right, t.key, hi)
         assert abs(hl - hr) <= 1, f"unbalanced at {t.key}: {hl} vs {hr}"
         assert t.height == 1 + max(hl, hr)
-        assert t.size == 1 + sl + sr
         assert t.maxp == max(t.prio, ml, mr)
-        return t.height, t.size, t.maxp
+        return t.height, t.maxp
 
     walk(h._root, None, None)
+    assert len(nodes) == len(h)
+    assert nodes == h._tab
 
 
 def test_tree_invariants_under_random_ops():
