@@ -20,9 +20,10 @@ and lets the rebuild build the survivor's heap once (`_AvgState.fold_rows`).
   dense-degree inputs by design; serves as the oracle for the other two.
 * exact_avg_hac: the chain loop shared with `chain_hac`
   (`engine._chain_loop`) plus a bounded-outdegree orientation. The
-  invariant is that every edge's entry in the heap of its head is true;
-  the loop's `best` callback refreshes the few out-edges of a cluster
-  right before its BestEdge.
+  invariant is that every edge's entry in the heap of its head is true and
+  every other stored priority bounds its true one from above; the loop's
+  `best` callback validates the top of a cluster's heap on extraction, so
+  it rewrites at most the cluster's few out-edges.
 * approx_avg_hac: the global-heap loop shared with `heap_hac`
   (`engine._global_heap_loop`) with per-cluster staleness snapshots. A
   cluster whose size outgrows its snapshot by the internal factor (1+delta)
@@ -188,12 +189,21 @@ class _AvgState(HeapState):
         return survivor
 
 
-def refresh_out_edges(state: _AvgState, orient: Orientation, a: int) -> None:
-    """Rewrite the few entries a stores for its out-neighbors with their true
-    priorities; afterwards best_edge(heap(a)) reflects true weights."""
-    heap = state.heaps[a]
-    for c in orient.out_neighbors(a):
-        heap.update(c, state.true_prio(a, c))
+def refresh_out_edges(state: _AvgState, a: int) -> int:
+    """Return a's best neighbor under true weights, validating the top of
+    heap(a) on extraction: a top whose stored priority is not its true one
+    is rewritten and the top read again. Every stored priority is at least
+    its true one (a write stores a true value, and a true value only falls
+    as sizes grow), so the first true top is the true maximum under the
+    (max priority, min id) tie rule. Only stale entries are rewritten: in
+    exact's orientation, at most a's out-edges."""
+    heap, row, size = state.heaps[a], state.cut[a], state.size
+    while True:
+        c, p = heap.best_edge()
+        true = row[c] / size[c]
+        if p == true:
+            return c
+        heap.update(c, true)
 
 
 def rebuild_cluster(
@@ -238,7 +248,12 @@ def exact_avg_hac(
     heap_impl: str = "tree",
     audit: RunAudit | None = None,
 ) -> Dendrogram:
-    """Chain-driver exact UPGMA with a dynamic bounded-outdegree orientation."""
+    """Chain-driver exact UPGMA with a dynamic bounded-outdegree orientation.
+
+    Merges and flips keep every edge's entry in the heap of its head true;
+    its entry in the tail's heap only goes stale high, so `best(t)` validates
+    heap(t)'s top on extraction (`refresh_out_edges`) and rewrites at most
+    outdeg(t) <= cap entries."""
     check_weights(AVG_EXACT, graph.edges)
     st = _AvgState(graph, heap_impl)
     need = -(-graph.m // graph.n)  # each edge has a tail: some outdegree >= ceil(m/n)
@@ -279,8 +294,16 @@ def exact_avg_hac(
         return survivor
 
     def best(t: int) -> int:
-        refresh_out_edges(st, orient, t)
-        return st.heaps[t].best_edge()[0]
+        if audit is None or not audit.checks:
+            return refresh_out_edges(st, t)
+        heap = st.heaps[t]
+        before = dict(heap.entries())
+        b = refresh_out_edges(st, t)
+        fixed = sum(p != before[c] for c, p in heap.entries())
+        assert fixed <= orient.outdegree(t), (
+            f"best({t}) rewrote {fixed} entries, outdegree {orient.outdegree(t)}"
+        )
+        return b
 
     _chain_loop(graph.n, st.active, st.degree, best, merge, audit)
     if audit is not None:

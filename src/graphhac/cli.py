@@ -8,6 +8,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import statistics
@@ -51,7 +52,10 @@ def _setup_logging() -> None:
     logging.basicConfig(level=mapping[level], format="%(levelname)s %(name)s: %(message)s")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: `parse_args` leaves it
+    unchanged and returns a fresh namespace each time."""
     p = argparse.ArgumentParser(
         prog="graphhac",
         description="Graph-based hierarchical agglomerative clustering.",

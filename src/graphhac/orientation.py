@@ -24,7 +24,8 @@ class OrientationError(ValueError):
 
     This is a limit of the reorient-on-overflow scheme, not proof that no
     orientation fits under the cap: K5 has one at cap 2 (a regular
-    tournament), yet the cascade cycles there. See ROADMAP item 4."""
+    tournament), yet inserting K5's edges in id order under cap 2 makes the
+    cascade cycle."""
 
 
 def default_cap(m0: int) -> int:
@@ -75,11 +76,14 @@ class Orientation:
     def insert_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError("self-loop")
-        if self.has_edge(u, v):
+        out_u, out_v = self.out.get(u, ()), self.out.get(v, ())
+        if v in out_u or u in out_v:
             raise ValueError(f"duplicate edge ({u},{v})")
-        tail, head = (u, v) if (self.outdegree(u), u) <= (self.outdegree(v), v) else (v, u)
+        du, dv = len(out_u), len(out_v)
+        tail, head, deg = (u, v, du) if (du, u) <= (dv, v) else (v, u, dv)
         self._orient(tail, head)
-        self._settle(tail)
+        if deg >= self.cap:  # the tail is now over the cap
+            self._settle(tail)
         if self.audit:
             assert self.max_outdegree() <= self.cap
 
@@ -111,12 +115,14 @@ class Orientation:
                     )
 
     def delete_edge(self, u: int, v: int) -> None:
-        if v in self.out.get(u, ()):
-            self.out[u].discard(v)
-        elif u in self.out.get(v, ()):
-            self.out[v].discard(u)
+        out_u = self.out.get(u, ())
+        if v in out_u:
+            out_u.remove(v)
         else:
-            raise ValueError(f"edge ({u},{v}) absent")
+            out_v = self.out.get(v, ())
+            if u not in out_v:
+                raise ValueError(f"edge ({u},{v}) absent")
+            out_v.remove(u)
         if self.events is not None:
             self.events.append(("drop", u, v))
         if self.audit:

@@ -2,8 +2,9 @@ import math
 from collections import defaultdict
 
 import pytest
-from test_engine import TIED_GRAPHS
+from test_engine import HUB_STARS, TIED_GRAPHS
 
+from graphhac import average
 from graphhac.average import (
     _AvgState,
     _check_in_edges,
@@ -302,42 +303,106 @@ def test_balanced_rebuilding_merge_writes_each_entry_once(heap_impl, monkeypatch
 def test_refresh_out_edges_direct():
     g = make_graph(4, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.25)])
     st = _AvgState(g, "tree")
-    orient = Orientation(8)
-    orient.insert_edge(1, 3)  # 1 -> 3
-    orient.insert_edge(1, 2)  # outdeg(1)=1 > outdeg(2)=0, so 2 -> 1
-    orient.insert_edge(0, 1)  # 0 -> 1
-    assert orient.out_neighbors(2) == [1]
     st.merge_structural(0, 1, None)  # cluster 1 grows to size 2
-    # 2 only has an out-edge to 1, written back when 1 had size 1: stale
+    # 2's entry for 1 was written when 1 had size 1: stale
     assert st.heaps[2].get(1) == pytest.approx(0.5)
-    refresh_out_edges(st, orient, 2)
+    assert refresh_out_edges(st, 2) == 1
     assert st.heaps[2].get(1) == pytest.approx(0.5 / 2)
-    # after the refresh, best_edge agrees with a linear rescan of true weights
-    key, prio = st.heaps[2].best_edge()
-    scan = max(
-        ((p, -k) for k, p in st.heaps[2].entries()),
-    )
-    assert (prio, -key) == scan
-    # no out-edges: a refresh is a no-op
+    # the returned neighbor agrees with a linear rescan of true weights
+    for a in (1, 2):
+        b = refresh_out_edges(st, a)
+        assert b == max(st.cut[a], key=lambda c: (st.true_prio(a, c), -c))
+    # a true top is not written: rewrite 3's entry as exact's merge would
+    st.heaps[3].update(1, st.true_prio(3, 1))
     before = dict(st.heaps[3].entries())
-    refresh_out_edges(st, orient, 3)
+    assert refresh_out_edges(st, 3) == 1
     assert dict(st.heaps[3].entries()) == before
 
 
 @pytest.mark.parametrize("heap_impl", ["tree", "meld"])
 def test_refresh_out_edges_keeps_true_entries(heap_impl):
-    # star 0-{1,2,3}: only 0 -> 1 is out of the hub, and every entry is true
+    # star 0-{1,2,3}: every entry is true, so nothing is written
     g = make_graph(4, [(0, 1, 1.0), (0, 2, 0.5), (0, 3, 0.25)])
     st = _AvgState(g, heap_impl)
-    orient = Orientation(8)
-    for u, v, _w in g.edges:
-        orient.insert_edge(u, v)
-    assert orient.out_neighbors(0) == [1]
     before = list(st.heaps[0].entries())
-    refresh_out_edges(st, orient, 0)
-    # rewriting an entry with its own priority leaves entries() as it was
+    assert refresh_out_edges(st, 0) == 1
     assert list(st.heaps[0].entries()) == before
     assert st.heaps[0].get(1) == st.true_prio(0, 1)
+
+
+@pytest.mark.parametrize("heap_impl", ["tree", "meld"])
+def test_refresh_out_edges_fixed_top_ties_to_smaller_id(heap_impl):
+    # 0's entry for 3 tops its heap at 0.5 until 3 grows to size 2; its true
+    # 0.25 then ties 0's true entry for 1, and the smaller id wins
+    g = make_graph(5, [(0, 1, 0.25), (0, 3, 0.5), (3, 4, 1.0)])
+    st = _AvgState(g, heap_impl)
+    assert st.merge_structural(3, 4, None)[:2] == (4, 3)
+    assert st.heaps[0].best_edge() == (3, 0.5)
+    assert refresh_out_edges(st, 0) == 1
+    assert dict(st.heaps[0].entries()) == {1: 0.25, 3: 0.25}
+
+
+def _eager_refresh(state, a):
+    """Oracle for `refresh_out_edges`: rewrite every entry of heap(a) with its
+    true priority, then read the top."""
+    heap = state.heaps[a]
+    for c in state.cut[a]:
+        heap.update(c, state.true_prio(a, c))
+    return heap.best_edge()[0]
+
+
+def _unit(g):
+    return make_graph(g.n, [(u, v, 1.0) for u, v, _w in g.edges])
+
+
+def _complete(n):
+    return make_graph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
+
+
+UNIT_RANDOM = [_unit(random_connected_graph(s)) for s in range(40)]
+UNIT_COMPLETE = [_complete(n) for n in range(2, 13)]
+
+
+@pytest.mark.parametrize("heap_impl", ["tree", "meld"])
+def test_exact_validation_on_ties(monkeypatch, heap_impl):
+    """Validation on extraction must pick the merges an eager refresh of
+    every entry picks, bit for bit, on tie-heavy graphs; with checks on, the
+    audit also asserts the out-degree bound on every rewrite. Naive's global
+    heap orders tied merges differently from the chain driver (11 of the 40
+    unit-weight random graphs cluster differently), so it is compared only
+    where ties cannot change the clustering: K_n and hub stars."""
+    graphs = UNIT_RANDOM + UNIT_COMPLETE + HUB_STARS
+    validated = [exact_avg_hac(g, heap_impl=heap_impl, audit=RunAudit(checks=True))
+                 for g in graphs]
+    for g, d in zip(UNIT_COMPLETE + HUB_STARS, validated[len(UNIT_RANDOM):]):
+        assert same_clustering(d, naive_avg_hac(g)), g.n
+    monkeypatch.setattr(average, "refresh_out_edges", _eager_refresh)
+    for g, d in zip(graphs, validated):
+        assert exact_avg_hac(g, heap_impl=heap_impl).merges == d.merges, g.n
+
+
+def test_exact_audit_bounds_rewrites_by_outdegree(monkeypatch):
+    """With checks on, `best(t)` asserts that it rewrote at most outdeg(t)
+    entries: stale in-edges, here made by doubling every stored priority of
+    heap(t) before each BestEdge, trip it."""
+    real_loop = average._chain_loop
+
+    def stale_loop(n, active, degree, best, merge, audit):
+        heaps = degree.__self__.heaps  # `degree` is the run's _AvgState.degree
+
+        def stale_best(t):
+            for c, p in list(heaps[t].entries()):
+                heaps[t].update(c, 2 * p)
+            return best(t)
+
+        return real_loop(n, active, degree, stale_best, merge, audit)
+
+    monkeypatch.setattr(average, "_chain_loop", stale_loop)
+    star = star_graph(40)
+    # upper bounds only: without checks the merges stay exact
+    assert same_clustering(exact_avg_hac(star), naive_avg_hac(star))
+    with pytest.raises(AssertionError, match="rewrote"):
+        exact_avg_hac(star, audit=RunAudit(checks=True))
 
 
 def test_exact_rejects_cap_below_edge_density():

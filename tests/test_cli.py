@@ -367,6 +367,41 @@ def test_usage_error_from_argparse():
     assert exc.value.code == 2
 
 
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path, monkeypatch):
+    """`main` reuses one parser: flags given in one call must not reach the
+    next, and a usage error still exits 2 without spoiling later calls."""
+    inp = tmp_path / "g.wel"
+    out = str(tmp_path / "d.tsv")
+    inp.write_text(PATH_EDGES)
+    seen = []
+    real = cli._cmd_hac
+
+    def spy(args):
+        seen.append(vars(args).copy())
+        return real(args)
+
+    monkeypatch.setattr(cli, "_cmd_hac", spy)
+    assert main(["hac", "--linkage", "avg-approx", "--epsilon", "0.5", "--heap-impl", "meld",
+                 "--audit", "--input", str(inp), "--output", out]) == 0
+    # a leaked --epsilon would make this an exit-2 usage error
+    assert main(["hac", "--linkage", "avg-exact", "--input", str(inp), "--output", out]) == 0
+    assert seen[0]["epsilon"] == 0.5 and seen[0]["heap_impl"] == "meld" and seen[0]["audit"]
+    assert seen[1]["epsilon"] is None and seen[1]["heap_impl"] == "tree" and not seen[1]["audit"]
+    assert main(["hac", "--linkage", "wpgma", "--epsilon", "0.2", "--input", str(inp),
+                 "--output", out]) == 2
+    assert main(["hac", "--linkage", "wpgma", "--input", str(inp), "--output", out]) == 0
+    assert seen[3]["epsilon"] is None
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n0\n1\n")
+    report = tmp_path / "report.tsv"
+    assert main(["eval", "--dendrogram", out, "--labels", str(labels), "--levels", "2",
+                 "--output", str(report)]) == 0
+    assert report.read_text().startswith("clusters\tari\tnmi\n2\t")
+    assert main(["hac", "--linkage", "avg-exact", "--input", str(inp), "--output", out]) == 0
+    assert "levels" not in seen[4] and "output" in seen[4] and seen[4]["output"] == out
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_hac_log_env_validation(tmp_path, monkeypatch):
     monkeypatch.setenv("HAC_LOG", "nonsense")
     assert main(["selftest", "--trials", "1"]) == 2
