@@ -17,7 +17,11 @@ and lets the rebuild build the survivor's heap once (`_AvgState.fold_rows`).
 * naive_avg_hac: the eager baseline. After every merge it recomputes the
   weight of every edge incident to the merged cluster and requeues it; the
   global queue is validated on pop by exact recomputation. Quadratic on
-  dense-degree inputs by design; serves as the oracle for the other two.
+  dense-degree inputs by design. It is the oracle for the other two on
+  distinct weights only: on tied weights its global heap orders tied merges
+  differently from the chain driver, and UPGMA's dendrogram then depends on
+  that order, so tied inputs are checked against an eager refresh instead
+  (`test_exact_validation_on_ties`).
 * exact_avg_hac: the chain loop shared with `chain_hac`
   (`engine._chain_loop`) plus a bounded-outdegree orientation. The
   invariant is that every edge's entry in the heap of its head is true and
@@ -55,7 +59,9 @@ def delta_from_epsilon(epsilon: float) -> float:
 
 
 def naive_avg_hac(graph: WeightedGraph, audit: RunAudit | None = None) -> Dendrogram:
-    """Eager exact baseline over plain adjacency maps."""
+    """Eager exact baseline over plain adjacency maps; the oracle for the
+    heap engines on distinct weights, not on tied ones (see the module
+    docstring)."""
     n = graph.n
     if n == 0:
         raise ValueError("empty graph")

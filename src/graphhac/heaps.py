@@ -3,30 +3,30 @@
 Two interchangeable representations with identical observable behavior:
 
 * TreeNeighborHeap: a hash table key -> priority, which is the truth for
-  get, len and membership, plus a join-based AVL tree keyed by neighbor id
-  and augmented with the subtree max priority, which answers BestEdge in
+  get, len and membership, plus an AVL tree keyed by neighbor id and
+  augmented with the subtree max priority, which answers BestEdge in
   O(log d). A write of the priority already stored returns after the table
   lookup. Construction builds one node per item from the sorted items
   (one linear pass on the sorted lists the engines pass), middle item at
   the root and one-item ranges made leaves directly: O(d) tree operations,
   KeyError on a duplicate key. Insert and delete descend once and
   rebalance upward only until an ancestor keeps its place, height and
-  maxp; delete joins the node's children through a single _split_last of
-  the left child. A changed priority keeps the shape: a rise lifts maxp on
-  the way down, a fall recomputes it from the node up to the first
-  unchanged ancestor, O(log d) at worst. Union writes the smaller table
-  into the larger, one combine per shared key, and unions the trees by
-  splitting the taller by the shorter one's root (Blelloch, Ferizovic and
-  Sun, SPAA 2016); nodes carry no subtree sizes. For sizes s <= l that
-  costs O(s log(l/s + 1)) tree operations (node makes, split and join
-  calls, rebalance steps).
+  maxp; a node with two children takes the entry of its in-order
+  predecessor, which is unlinked instead. A changed priority keeps the
+  shape: a rise lifts maxp on the way down, a fall recomputes it from the
+  node up to the first unchanged ancestor, O(log d) at worst.
 * MeldNeighborHeap: a hash table key -> priority, which is the truth, plus a
   `heapq` list of (-priority, key) entries that is cleaned lazily: a write
   of a changed priority pushes an entry, delete only touches the table, and
   BestEdge pops entries that no longer match the table. The list is rebuilt
   from the table once it outgrows twice the table, so point edits cost
-  amortized O(log d). Union writes the smaller table into the larger and
-  pushes each written key: O(s log l) for sizes s <= l.
+  amortized O(log d).
+
+Both share one union: the smaller heap's entries are upserted into the
+larger, one combine per key in both, which costs O(s log l) for sizes
+s <= l; the larger heap is returned and the smaller is left empty. Over a
+triangle-linkage run the smaller sizes sum to at most
+`engine.merge_cost_bound(m)`, so all unions together cost O~(m).
 
 best_edge ties always break toward the smaller key; priorities are compared
 exactly (no epsilons inside the structure). entries() runs in key order on
@@ -43,8 +43,6 @@ from typing import Callable, Iterable, Iterator
 CombineFn = Callable[[float, float], float]
 
 HEAP_IMPLS = ("tree", "meld")
-
-_MISSING = object()
 
 # MeldNeighborHeap rebuilds its lazy list once it holds more than
 # 2 * len(table) + _SLACK entries; the slack keeps tiny heaps from rebuilding
@@ -109,92 +107,6 @@ def _rot_right(t):
     _fix(t)
     _fix(l)
     return l
-
-
-def _join(l, mid, r):
-    """AVL join: all keys in l < mid.key < all keys in r."""
-    hl = l.height if l is not None else 0
-    hr = r.height if r is not None else 0
-    if hl > hr + 1:
-        return _join_right(l, mid, r)
-    if hr > hl + 1:
-        return _join_left(r, mid, l)
-    mid.left = l
-    mid.right = r
-    _fix(mid)
-    return mid
-
-
-def _join_right(t, mid, r):
-    if _h(t.right) <= _h(r) + 1:
-        mid.left = t.right
-        mid.right = r
-        _fix(mid)
-        if mid.height <= _h(t.left) + 1:
-            t.right = mid
-            _fix(t)
-            return t
-        t.right = _rot_right(mid)
-        _fix(t)
-        return _rot_left(t)
-    t.right = _join_right(t.right, mid, r)
-    _fix(t)
-    if _h(t.right) > _h(t.left) + 1:
-        return _rot_left(t)
-    return t
-
-
-def _join_left(t, mid, l):
-    if _h(t.left) <= _h(l) + 1:
-        mid.right = t.left
-        mid.left = l
-        _fix(mid)
-        if mid.height <= _h(t.right) + 1:
-            t.left = mid
-            _fix(t)
-            return t
-        t.left = _rot_left(mid)
-        _fix(t)
-        return _rot_right(t)
-    t.left = _join_left(t.left, mid, l)
-    _fix(t)
-    if _h(t.left) > _h(t.right) + 1:
-        return _rot_right(t)
-    return t
-
-
-def _split(t, key):
-    """Split by key; returns (left, prio_or_MISSING, right). Reuses nodes."""
-    if t is None:
-        return None, _MISSING, None
-    if key < t.key:
-        l, f, r = _split(t.left, key)
-        return l, f, _join(r, t, t.right)
-    if key > t.key:
-        l, f, r = _split(t.right, key)
-        return _join(t.left, t, l), f, r
-    return t.left, t.prio, t.right
-
-
-def _split_last(t):
-    """Detach the max-key node of non-empty t; returns (rest, node). The left
-    subtrees along the right spine are joined back bottom-up, which costs
-    O(log |t|) in total because consecutive spine heights telescope."""
-    r = t.right
-    if r is None:
-        return t.left, t
-    rest, last = _split_last(r)
-    return _join(t.left, t, rest), last
-
-
-def _join2(l, r):
-    """Join without a pivot: the max node of l acts as one."""
-    if l is None:
-        return r
-    if r is None:
-        return l
-    l, last = _split_last(l)
-    return _join(l, last, r)
 
 
 def _build(items, lo: int, hi: int):
@@ -291,8 +203,8 @@ def _rebalance(t):
 
 def _replace(path, key, t):
     """Put subtree t where the descent `path` for `key` ended (a new leaf, or
-    the join of a deleted node's children, either within one level of the
-    old height) and rebalance upward. The walk stops at the first ancestor
+    the only child of an unlinked node, either within one level of the old
+    height) and rebalance upward. The walk stops at the first ancestor
     that neither rotates nor changes its height or maxp, since nothing above
     it can change; returns the root."""
     root = path[0] if path else t
@@ -309,24 +221,6 @@ def _replace(path, key, t):
     return t
 
 
-def _tree_union(a, b, tab: dict[int, float]):
-    """Join-based union (Blelloch, Ferizovic and Sun, SPAA 2016): split the
-    taller tree by the shorter one's root key and union the two sides. `tab`
-    already holds the merged priorities, so a key found in both trees takes
-    its priority from it."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a.height < b.height:
-        a, b = b, a
-    l, f, r = _split(a, b.key)
-    bl, br = b.left, b.right
-    if f is not _MISSING:
-        b.prio = tab[b.key]
-    return _join(_tree_union(l, bl, tab), b, _tree_union(r, br, tab))
-
-
 def _relabel(self, old_key: int, new_key: int, combine: CombineFn) -> None:
     """Move old_key's priority to new_key, combined with new_key's own
     priority if it has one. Assigned in both heap class bodies, so each
@@ -337,6 +231,23 @@ def _relabel(self, old_key: int, new_key: int, combine: CombineFn) -> None:
         self.insert(new_key, prio)
     else:
         self.update(new_key, combine(ex, prio))
+
+
+def _union(self, other, combine: CombineFn):
+    """Write the smaller operand's entries into the larger through `upsert`,
+    one combine per key in both, and return the larger; on equal sizes that
+    is `other`. The smaller operand is left empty and stays usable. Costs
+    O(s log l) for sizes s <= l. Assigned in both heap class bodies, as
+    `_relabel` is."""
+    small, large = (self, other) if len(self) <= len(other) else (other, self)
+    if not small._tab:  # every merge on a star: nothing to write or reset
+        return large
+    get, upsert = large._tab.get, large.upsert
+    for key, prio in small._tab.items():
+        lp = get(key)
+        upsert(key, prio if lp is None else combine(lp, prio))
+    small.__init__()
+    return large
 
 
 class TreeNeighborHeap:
@@ -402,7 +313,23 @@ class TreeNeighborHeap:
         if prio is None:
             raise KeyError(f"delete: key {key} absent")
         t, path = _descend(self._root, key)
-        self._root = _replace(path, key, _join2(t.left, t.right))
+        if t.left is None or t.right is None:
+            self._root = _replace(path, key, t.right if t.left is None else t.left)
+            return prio
+        # Unlink the in-order predecessor s, which has no right child.
+        # _replace walks back up by s.key while t still holds the deleted
+        # key, so each step takes the side s hangs on; then s's entry moves
+        # into t, which keeps the key order.
+        path.append(t)
+        s = t.left
+        while s.right is not None:
+            path.append(s)
+            s = s.right
+        root = _replace(path, s.key, s.left)
+        t.key = s.key
+        if s.prio != prio:
+            _reprioritize(root, s.key, prio, s.prio)
+        self._root = root
         return prio
 
     def best_edge(self) -> tuple[int, float]:
@@ -418,21 +345,7 @@ class TreeNeighborHeap:
             else:
                 t = t.right
 
-    def union(self, other: "TreeNeighborHeap", combine: CombineFn) -> "TreeNeighborHeap":
-        """Destructive on both operands; returns the merged heap. The smaller
-        table is written into the larger, one combine per key in both, and
-        the trees are joined by `_tree_union`."""
-        tab, small = self._tab, other._tab
-        if len(tab) < len(small):
-            tab, small = small, tab
-        for key, prio in small.items():
-            lp = tab.get(key)
-            tab[key] = prio if lp is None else combine(lp, prio)
-        self._tab, other._tab = tab, {}
-        self._root = _tree_union(self._root, other._root, tab)
-        other._root = None
-        return self
-
+    union = _union
     relabel = _relabel
 
     def entries(self) -> Iterator[tuple[int, float]]:
@@ -461,8 +374,7 @@ class MeldNeighborHeap:
     best_edge discards dead entries as they reach the top. Once the list
     outgrows twice the table (plus `_SLACK`) it is rebuilt from the table,
     so it holds O(live entries) and point edits cost amortized O(log d).
-    Union writes the smaller table into the larger and pushes each written
-    key: O(s log l) for sizes s <= l. entries() runs in table order.
+    entries() runs in table order.
     """
 
     __slots__ = ("_tab", "_heap")
@@ -536,22 +448,7 @@ class MeldNeighborHeap:
             heappop(heap)
         raise KeyError("best_edge on empty heap")
 
-    def union(self, other: "MeldNeighborHeap", combine: CombineFn) -> "MeldNeighborHeap":
-        """Destructive on both operands; returns the merged heap."""
-        small, large = (self, other) if len(self) <= len(other) else (other, self)
-        tab, heap = large._tab, large._heap
-        for key, prio in small._tab.items():
-            lp = tab.get(key)
-            if lp is not None:
-                prio = combine(lp, prio)
-            tab[key] = prio
-            heappush(heap, (-prio, key))
-        small._tab = {}
-        small._heap = []
-        if len(heap) > 2 * len(tab) + _SLACK:
-            large._compact()
-        return large
-
+    union = _union
     relabel = _relabel
 
     def entries(self) -> Iterator[tuple[int, float]]:

@@ -19,9 +19,10 @@ IMPLS = [TreeNeighborHeap, MeldNeighborHeap]
 
 @pytest.fixture
 def tree_ops(monkeypatch):
-    """Counts the tree heap's node operations in `.count`: node makes and
-    calls of the split, join and rebalance helpers. The helpers call each
-    other through the module globals, so recursive calls are counted too."""
+    """Counts the tree heap's node operations in `.count`: node makes,
+    descents, rebalance steps and rotations. `_rebalance` calls the rotations
+    through the module globals, so those are counted too; the length of a
+    descent is not."""
     ops = SimpleNamespace(count=0)
 
     def counted(fn):
@@ -31,8 +32,7 @@ def tree_ops(monkeypatch):
 
         return wrapper
 
-    for name in ("_TNode", "_join", "_join_right", "_join_left", "_split",
-                 "_split_last", "_rebalance"):
+    for name in ("_TNode", "_descend", "_rebalance", "_rot_left", "_rot_right"):
         monkeypatch.setattr(heap_module, name, counted(getattr(heap_module, name)))
     return ops
 
@@ -117,6 +117,24 @@ def test_union_combines(cls):
 
     a = cls([(1, 0.3)])
     assert dict(a.union(cls(), max).entries()) == {1: 0.3}
+
+    # self smaller than, as large as and larger than other, and either empty;
+    # other's keys start two below self's end, so two keys are in both
+    for ns, no in ((2, 5), (4, 4), (6, 3), (0, 3), (3, 0), (0, 0)):
+        ea = {k: k / 10 for k in range(ns)}
+        eb = {k: 1 - k / 10 for k in range(max(ns - 2, 0), max(ns - 2, 0) + no)}
+        a, b = cls(ea.items()), cls(eb.items())
+        expect = dict(eb)
+        for k, v in ea.items():
+            expect[k] = max(expect[k], v) if k in expect else v
+        merged = a.union(b, max)
+        assert merged is (a if ns > no else b)
+        assert dict(merged.entries()) == expect
+        emptied = b if merged is a else a
+        assert len(emptied) == 0 and list(emptied.entries()) == []
+        emptied.insert(5, 0.5)
+        emptied.upsert(2, 0.7)
+        assert emptied.best_edge() == (2, 0.7)
 
 
 @pytest.mark.parametrize("cls", IMPLS)
@@ -336,8 +354,11 @@ def test_union_key_sets_match_map_merge_oracle():
 
 
 def test_tree_union_cost_bound(tree_ops):
-    """Union of tree sizes (s, l) stays within c*s*(log2(l/s+1)+1) node
-    operations; observed worst factor is ~3.7, c = 8 documented."""
+    """Union of tree sizes (s, l) upserts the s smaller entries into the
+    larger tree: a descent each, and rebalancing that stops at the first
+    unchanged ancestor. Counted node operations stay within
+    c*s*(log2(l/s+1)+1); observed worst factor ~2.9, c = 8 documented. The
+    descents' lengths are not counted, and they make the union O(s log l)."""
     c = 8.0
     rng = random.Random(0)
     for _ in range(120):
@@ -428,16 +449,43 @@ def test_tree_invariants_under_random_ops():
             g, other = pools[j]
             for key, v in other.items():
                 oracle[key] = max(oracle[key], v) if key in oracle else v
-            h = h.union(g, max)
+            merged = h.union(g, max)
+            emptied = g if merged is h else h
+            assert len(emptied) == 0
+            check_tree(emptied)
+            h = merged
             pools[i] = (h, oracle)
-            pools[j] = (g, {})
-            check_tree(g)
+            pools[j] = (emptied, {})
         check_tree(h)
         assert list(h.entries()) == sorted(oracle.items())
         assert len(h) == len(oracle)
         if oracle:
             bp = max(oracle.values())
             assert h.best_edge() == (min(k for k, v in oracle.items() if v == bp), bp)
+
+
+def test_tree_delete_every_key():
+    """Delete each key of every tree of 1..40 items, built sorted and by
+    inserts. Distinct, all-equal and two-valued priorities make the unlinked
+    predecessor's priority both differ from and equal the deleted one's."""
+    rng = random.Random(17)
+    for d in range(1, 41):
+        order = list(range(d))
+        rng.shuffle(order)
+        for prio in (lambda k: k * 37 % 41 / 41, lambda k: 0.5, lambda k: float(k % 2)):
+            items = [(k, prio(k)) for k in range(d)]
+            for key in range(d):
+                inserted = TreeNeighborHeap()
+                for k in order:
+                    inserted.insert(k, prio(k))
+                for h in (TreeNeighborHeap(items), inserted):
+                    assert h.delete(key) == prio(key)
+                    check_tree(h)
+                    rest = {k: p for k, p in items if k != key}
+                    assert dict(h.entries()) == rest
+                    if rest:
+                        bp = max(rest.values())
+                        assert h.best_edge() == (min(k for k, p in rest.items() if p == bp), bp)
 
 
 def test_tree_sorted_build_valid():
@@ -473,9 +521,10 @@ def test_tree_sorted_build_cost(tree_ops):
 
 def test_tree_delete_cost_bound(tree_ops):
     """One delete on a d-item tree costs at most c*(log2(d)+1) tree
-    operations: the node's children are joined through one _split_last and
-    the path above is rebalanced once. Observed worst factor ~1.9 on random
-    trees; c = 3 documented (a split-then-rejoin delete reaches ~4.9)."""
+    operations: one descent, then the node or its in-order predecessor is
+    unlinked and the path above is rebalanced once, stopping at the first
+    unchanged ancestor. Observed worst factor ~1.2 on random trees; c = 3
+    documented."""
     c = 3.0
     rng = random.Random(5)
     for d in (1, 2, 5, 16, 33, 64, 255, 1000):
