@@ -11,6 +11,7 @@ import argparse
 import functools
 import logging
 import os
+import random
 import statistics
 import sys
 import time
@@ -28,7 +29,7 @@ from .graph import (
     load_points_csv,
     write_edge_list,
 )
-from .heaps import HEAP_IMPLS
+from .heaps import HEAP_IMPLS, new_heap
 
 log = logging.getLogger("graphhac")
 
@@ -235,6 +236,70 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _heap_ops_mismatch(seed: int) -> str:
+    """Run a seeded random sequence of insert/update/upsert/delete/relabel/
+    union/best_edge on every heap representation beside a dict oracle;
+    returns the first disagreement, or "" when there is none."""
+    rng = random.Random(seed)
+    pools = [([new_heap(impl) for impl in HEAP_IMPLS], {}) for _ in range(4)]
+    for step in range(1000):
+        i = rng.randrange(len(pools))
+        hs, oracle = pools[i]
+        op = rng.choice(("insert", "update", "upsert", "delete", "relabel", "union"))
+        k, p = rng.randrange(48), rng.choice((0.25, 0.5, rng.random()))
+        try:
+            if op == "insert" and k not in oracle or op == "upsert":
+                for h in hs:
+                    getattr(h, op)(k, p)
+                oracle[k] = p
+            elif op == "update" and k in oracle:
+                for h in hs:
+                    h.update(k, p)
+                oracle[k] = p
+            elif op == "delete" and k in oracle:
+                want = oracle.pop(k)
+                if any(h.delete(k) != want for h in hs):
+                    return f"step {step}: delete({k}) returned a wrong priority"
+            elif op == "relabel" and k in oracle:
+                new = rng.randrange(48)
+                for h in hs:
+                    h.relabel(k, new, max)
+                p = oracle.pop(k)
+                oracle[new] = max(oracle[new], p) if new in oracle else p
+            elif op == "union":
+                j = rng.randrange(len(pools))
+                if j == i:
+                    continue
+                gs, other = pools[j]
+                hs = [h.union(g, max) for h, g in zip(hs, gs)]
+                for key, q in other.items():
+                    oracle[key] = max(oracle[key], q) if key in oracle else q
+                pools[i], pools[j] = (hs, oracle), ([new_heap(im) for im in HEAP_IMPLS], {})
+        except Exception as e:  # a broken heap may raise anything
+            return f"step {step}: {op} raised {e!r}"
+        for impl, h in zip(HEAP_IMPLS, hs):
+            if dict(h.entries()) != oracle:
+                return f"step {step}: {op} left the {impl} heap unlike the oracle"
+            if oracle and h.best_edge() != _oracle_best(oracle):
+                return f"step {step}: {op} broke the {impl} heap's best_edge"
+    # drain every heap best-first, so a misplaced entry that has not reached
+    # the top yet shows too
+    for hs, oracle in pools:
+        while oracle:
+            want = _oracle_best(oracle)
+            del oracle[want[0]]
+            for impl, h in zip(HEAP_IMPLS, hs):
+                if h.best_edge() != want or h.delete(want[0]) != want[1]:
+                    return f"drain: the {impl} heap left best-first order"
+    return ""
+
+
+def _oracle_best(oracle: dict[int, float]) -> tuple[int, float]:
+    """(key, priority) of the max priority, ties to the smaller key."""
+    bp = max(oracle.values())
+    return min(c for c, q in oracle.items() if q == bp), bp
+
+
 def _cmd_selftest(args) -> int:
     trials = args.trials
     if trials < 1:
@@ -254,7 +319,8 @@ def _cmd_selftest(args) -> int:
     # function of cluster contents (single, complete). WPGMA weights depend
     # on merge interleaving when edges are missing, so the chain driver is
     # only required to emit a structurally valid mutual-best dendrogram.
-    # Every heap-backed engine must merge identically on both heaps.
+    # Every heap-backed engine must merge identically on both heaps, and
+    # both heaps must match a dict oracle over a random op sequence.
     ok_tri, detail, repr_fail = True, "", ""
     for t in range(trials):
         g = instances.random_connected_graph(args.seed * 100003 + t)
@@ -293,6 +359,7 @@ def _cmd_selftest(args) -> int:
             repr_fail = f"exact_avg_hac trial {t}"
         if average.approx_avg_hac(g, 0.1, heap_impl="meld").merges != approx.merges:
             repr_fail = f"approx_avg_hac trial {t}"
+        repr_fail = repr_fail or _heap_ops_mismatch(args.seed * 31 + t)
     check("average-oracle-equivalence", ok_avg, detail)
     check("closeness-audit", ok_close, detail)
     check("heap-representation-equivalence", not repr_fail, repr_fail)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import islice
 from typing import Callable, Collection
 
 from .dendrogram import Dendrogram, DendrogramBuilder
@@ -68,7 +69,7 @@ class HeapState:
         self.heap_impl = heap_impl
         self.active = [True] * n
         self.size = [1] * n
-        self.heaps = [new_heap(heap_impl, sorted(row.items())) for row in adj]
+        self.heaps = [new_heap(heap_impl, row.items()) for row in adj]
         self.builder = DendrogramBuilder(n)
 
     def degree(self, c: int) -> int:
@@ -250,10 +251,11 @@ def _global_heap_loop(
     Bulk re-key after a rebuild. A rebuild of x lowers the key of every
     neighbor c whose best edge was x, so each such queued key would cost a
     pop and a `best` call. When `2 deg(x) >= len(heap)` (O(1) to test), the
-    loop collects the neighbors c whose `queued[c]` names x; if they are at
-    least half the heap, it rebuilds the heap from every other active
-    cluster's `queued` entry, a fresh `best(c)` for each of them and the
-    survivor's `best`, and heapifies it once. The O(len(heap)) cost is at
+    loop collects the neighbors c whose `queued[c]` names x, and stops as
+    soon as the rest of x's row could no longer make them half the heap. If
+    they are at least half the heap, it rebuilds the heap from every other
+    active cluster's `queued` entry, a fresh `best(c)` for each of them and
+    the survivor's `best`, and heapifies it once. The O(len(heap)) cost is at
     most O(deg x), which the rebuild has already paid, and on a hub star
     the pops fall from about n log_{1+delta} n to O(n).
 
@@ -304,8 +306,17 @@ def _global_heap_loop(
             u = merge(u, item[2])
             row = None if rebuilt is None else rebuilt(u)
             if row is not None and 2 * len(row) >= len(heap):
-                stale = [c for c in row if (q := queued[c]) is not None and q[2] == u]
-                if 2 * len(stale) >= len(heap):
+                # collect the stale keys in chunks one longer than the misses
+                # the row can still spare, so the scan stops once the rest of
+                # the row can no longer make them half the heap
+                need = (len(heap) + 1) // 2
+                stale, rest, left = [], iter(row), len(row)
+                while left > 0 and len(stale) + left >= need:
+                    take = len(stale) + left - need + 1
+                    stale += [c for c in islice(rest, take)
+                              if (q := queued[c]) is not None and q[2] == u]
+                    left -= take
+                if len(stale) >= need:
                     stale.append(u)
                     for c in stale:
                         queued[c] = None

@@ -3,18 +3,13 @@
 Two interchangeable representations with identical observable behavior:
 
 * TreeNeighborHeap: a hash table key -> priority, which is the truth for
-  get, len and membership, plus an AVL tree keyed by neighbor id and
-  augmented with the subtree max priority, which answers BestEdge in
-  O(log d). A write of the priority already stored returns after the table
-  lookup. Construction builds one node per item from the sorted items
-  (one linear pass on the sorted lists the engines pass), middle item at
-  the root and one-item ranges made leaves directly: O(d) tree operations,
-  KeyError on a duplicate key. Insert and delete descend once and
-  rebalance upward only until an ancestor keeps its place, height and
-  maxp; a node with two children takes the entry of its in-order
-  predecessor, which is unlinked instead. A changed priority keeps the
-  shape: a rise lifts maxp on the way down, a fall recomputes it from the
-  node up to the first unchanged ancestor, O(log d) at worst.
+  get, len and membership, plus an addressable binary heap: a `heapq` list
+  of (-priority, key) slots and a key -> slot map. BestEdge reads slot 0 in
+  O(1). Construction is one `heapify`, O(d) from any order, KeyError on a
+  duplicate key. Insert, update and delete move one slot up or down, O(log
+  d) worst case, and leave no stale entries; delete fills the hole with the
+  last slot and moves it whichever way it belongs. A write of the priority
+  already stored returns after the table lookup.
 * MeldNeighborHeap: a hash table key -> priority, which is the truth, plus a
   `heapq` list of (-priority, key) entries that is cleaned lazily: a write
   of a changed priority pushes an entry, delete only touches the table, and
@@ -23,7 +18,7 @@ Two interchangeable representations with identical observable behavior:
   amortized O(log d).
 
 Both share one union: the smaller heap's entries are upserted into the
-larger, one combine per key in both, which costs O(s log l) for sizes
+larger, one combine per key in both, which costs O(s log(s+l)) for sizes
 s <= l; the larger heap is returned and the smaller is left empty. Over a
 triangle-linkage run the smaller sizes sum to at most
 `engine.merge_cost_bound(m)`, so all unions together cost O~(m).
@@ -50,175 +45,41 @@ HEAP_IMPLS = ("tree", "meld")
 _SLACK = 16
 
 
-class _TNode:
-    __slots__ = ("key", "prio", "left", "right", "height", "maxp")
-
-    def __init__(self, key: int, prio: float):
-        self.key = key
-        self.prio = prio
-        self.left = None
-        self.right = None
-        self.height = 1
-        self.maxp = prio
-
-
-def _h(t) -> int:
-    return t.height if t is not None else 0
-
-
-def _fix(t) -> None:
-    """Recompute t's height and maxp from its children."""
-    l, r = t.left, t.right
-    m = t.prio
-    if l is None:
-        if r is None:
-            t.height = 1
-        else:
-            t.height = r.height + 1
-            if r.maxp > m:
-                m = r.maxp
-    elif r is None:
-        t.height = l.height + 1
-        if l.maxp > m:
-            m = l.maxp
-    else:
-        hl, hr = l.height, r.height
-        t.height = (hl if hl > hr else hr) + 1
-        if l.maxp > m:
-            m = l.maxp
-        if r.maxp > m:
-            m = r.maxp
-    t.maxp = m
-
-
-def _rot_left(t):
-    r = t.right
-    t.right = r.left
-    r.left = t
-    _fix(t)
-    _fix(r)
-    return r
-
-
-def _rot_right(t):
-    l = t.left
-    t.left = l.right
-    l.right = t
-    _fix(t)
-    _fix(l)
-    return l
-
-
-def _build(items, lo: int, hi: int):
-    """Balanced tree over the non-empty range items[lo:hi], sorted by
-    distinct keys: the middle item is the root, so sibling sizes (hence
-    heights) differ by at most one, and the left range, never the shorter,
-    sets the height. A one-item range becomes a leaf without recursing, and
-    each node's height and maxp are set from its children as it is made."""
-    mid = (lo + hi) // 2
-    k, p = items[mid]
-    t = _TNode(k, p)
-    if lo < mid:
-        l = t.left = _build(items, lo, mid)
-        t.height = l.height + 1
-        if l.maxp > p:
-            p = l.maxp
-        if mid + 1 < hi:
-            r = t.right = _build(items, mid + 1, hi)
-            if r.maxp > p:
-                p = r.maxp
-        t.maxp = p
-    return t
-
-
-def _descend(t, key):
-    """Returns (node with key or None, the nodes passed on the way down)."""
-    path = []
-    while t is not None:
-        k = t.key
-        if key == k:
+def _sift_up(heap: list, pos: dict, i: int, item: tuple) -> None:
+    """Put item in slot i of the binary heap and move it toward the root
+    past every parent that it precedes; each slot written gets its key's map
+    entry."""
+    while i:
+        parent = (i - 1) >> 1
+        p = heap[parent]
+        if p < item:
             break
-        path.append(t)
-        t = t.left if key < k else t.right
-    return t, path
+        heap[i] = p
+        pos[p[1]] = i
+        i = parent
+    heap[i] = item
+    pos[item[1]] = i
 
 
-def _reprioritize(t, key, old: float, new: float) -> None:
-    """Change the priority of key, present in tree t, from old to a different
-    new one; the shape stays. A rise lifts every maxp on the path to at least
-    new in one descent. A fall can only lower the nodes whose maxp was old,
-    which end the path; they are recomputed bottom-up, stopping at the first
-    one whose maxp comes out unchanged."""
-    if new > old:
-        while True:
-            if t.maxp < new:
-                t.maxp = new
-            k = t.key
-            if key == k:
-                t.prio = new
-                return
-            t = t.left if key < k else t.right
-    path = []
-    k = t.key
-    while key != k:
-        if t.maxp == old:
-            path.append(t)
-        t = t.left if key < k else t.right
-        k = t.key
-    t.prio = new
-    if t.maxp != old:  # a larger priority below t keeps every maxp
-        return
-    while True:
-        m = t.prio
-        l, r = t.left, t.right
-        if l is not None and l.maxp > m:
-            m = l.maxp
-        if r is not None and r.maxp > m:
-            m = r.maxp
-        if m == t.maxp:
-            return
-        t.maxp = m
-        if not path:
-            return
-        t = path.pop()
-
-
-def _rebalance(t):
-    """Refresh t after one child's height changed by at most one, rotating if
-    the AVL balance broke; returns the subtree's new root."""
-    l, r = t.left, t.right
-    hl = l.height if l is not None else 0
-    hr = r.height if r is not None else 0
-    if hl > hr + 1:
-        if _h(l.left) < _h(l.right):
-            t.left = _rot_left(l)
-        return _rot_right(t)
-    if hr > hl + 1:
-        if _h(r.right) < _h(r.left):
-            t.right = _rot_right(r)
-        return _rot_left(t)
-    _fix(t)
-    return t
-
-
-def _replace(path, key, t):
-    """Put subtree t where the descent `path` for `key` ended (a new leaf, or
-    the only child of an unlinked node, either within one level of the old
-    height) and rebalance upward. The walk stops at the first ancestor
-    that neither rotates nor changes its height or maxp, since nothing above
-    it can change; returns the root."""
-    root = path[0] if path else t
-    while path:
-        p = path.pop()
-        if key < p.key:
-            p.left = t
-        else:
-            p.right = t
-        h, m = p.height, p.maxp
-        t = _rebalance(p)
-        if t is p and p.height == h and p.maxp == m:
-            return root
-    return t
+def _sift_down(heap: list, pos: dict, i: int, item: tuple) -> None:
+    """Put item in slot i and move it toward the leaves past every smaller
+    child, taking the smaller of two; each slot written gets its key's map
+    entry."""
+    n = len(heap)
+    child = 2 * i + 1
+    while child < n:
+        c = heap[child]
+        if child + 1 < n and heap[child + 1] < c:
+            child += 1
+            c = heap[child]
+        if item < c:
+            break
+        heap[i] = c
+        pos[c[1]] = i
+        i = child
+        child = 2 * i + 1
+    heap[i] = item
+    pos[item[1]] = i
 
 
 def _relabel(self, old_key: int, new_key: int, combine: CombineFn) -> None:
@@ -237,7 +98,7 @@ def _union(self, other, combine: CombineFn):
     """Write the smaller operand's entries into the larger through `upsert`,
     one combine per key in both, and return the larger; on equal sizes that
     is `other`. The smaller operand is left empty and stays usable. Costs
-    O(s log l) for sizes s <= l. Assigned in both heap class bodies, as
+    O(s log(s+l)) for sizes s <= l. Assigned in both heap class bodies, as
     `_relabel` is."""
     small, large = (self, other) if len(self) <= len(other) else (other, self)
     if not small._tab:  # every merge on a star: nothing to write or reset
@@ -251,23 +112,30 @@ def _union(self, other, combine: CombineFn):
 
 
 class TreeNeighborHeap:
-    """Augmented balanced tree representation (deterministic).
+    """Addressable binary heap (deterministic).
 
     `_tab` maps key -> priority and is the truth for get, len and
-    membership, as in MeldNeighborHeap; `_root` holds the same entries as a
-    tree ordered by key, with subtree max priorities for best_edge. A write
-    of the priority already stored returns without touching the tree."""
+    membership, as in MeldNeighborHeap. `_heap` holds one `(-prio, key)`
+    slot per key in `heapq` min-heap order, so slot 0 is the best edge
+    under the (max priority, min key) rule, and `_pos` maps each key to its
+    slot. A write of the priority already stored returns after the table
+    lookup; a changed priority moves its slot up or down once. entries()
+    runs in key order."""
 
-    __slots__ = ("_root", "_tab")
+    __slots__ = ("_tab", "_heap", "_pos")
 
     def __init__(self, items: Iterable[tuple[int, float]] = ()):
+        if not items:  # every emptied or freshly folded heap
+            self._tab, self._heap, self._pos = {}, [], {}
+            return
         items = list(items)
-        tab = {k: float(p) for k, p in items}
+        self._tab = tab = {k: float(p) for k, p in items}
         if len(tab) != len(items):
             raise KeyError("insert: duplicate key in items")
-        self._tab = tab
-        # one linear pass when the items arrive sorted by key
-        self._root = _build(sorted(tab.items()), 0, len(tab)) if tab else None
+        heap = [(-p, k) for k, p in tab.items()]
+        heapify(heap)
+        self._heap = heap
+        self._pos = {k: i for i, (_, k) in enumerate(heap)}
 
     def __len__(self) -> int:
         return len(self._tab)
@@ -283,8 +151,9 @@ class TreeNeighborHeap:
         if key in tab:
             raise KeyError(f"insert: key {key} already present")
         tab[key] = prio
-        _, path = _descend(self._root, key)
-        self._root = _replace(path, key, _TNode(key, prio))
+        heap = self._heap
+        heap.append(None)
+        _sift_up(heap, self._pos, len(heap) - 1, (-prio, key))
 
     def update(self, key: int, prio: float) -> None:
         tab = self._tab
@@ -294,73 +163,74 @@ class TreeNeighborHeap:
         if old == prio:
             return
         tab[key] = prio
-        _reprioritize(self._root, key, old, prio)
+        heap, pos = self._heap, self._pos
+        i = pos[key]
+        item = (-prio, key)
+        # a slot that stays put (a rise blocked by its parent, a fall at a
+        # leaf) is rewritten without touching the slot map
+        if prio > old:
+            if i and item < heap[(i - 1) >> 1]:
+                _sift_up(heap, pos, i, item)
+                return
+        elif 2 * i + 1 < len(heap):
+            _sift_down(heap, pos, i, item)
+            return
+        heap[i] = item
 
     def upsert(self, key: int, prio: float) -> None:
+        """insert, or update when key is present; the update path is
+        update's, inlined like the insert path, since both are hot."""
         tab = self._tab
         old = tab.get(key)
         if old == prio:
             return
         tab[key] = prio
+        heap, pos = self._heap, self._pos
         if old is None:
-            _, path = _descend(self._root, key)
-            self._root = _replace(path, key, _TNode(key, prio))
-        else:
-            _reprioritize(self._root, key, old, prio)
+            heap.append(None)
+            _sift_up(heap, pos, len(heap) - 1, (-prio, key))
+            return
+        i = pos[key]
+        item = (-prio, key)
+        if prio > old:
+            if i and item < heap[(i - 1) >> 1]:
+                _sift_up(heap, pos, i, item)
+                return
+        elif 2 * i + 1 < len(heap):
+            _sift_down(heap, pos, i, item)
+            return
+        heap[i] = item
 
     def delete(self, key: int) -> float:
         prio = self._tab.pop(key, None)
         if prio is None:
             raise KeyError(f"delete: key {key} absent")
-        t, path = _descend(self._root, key)
-        if t.left is None or t.right is None:
-            self._root = _replace(path, key, t.right if t.left is None else t.left)
-            return prio
-        # Unlink the in-order predecessor s, which has no right child.
-        # _replace walks back up by s.key while t still holds the deleted
-        # key, so each step takes the side s hangs on; then s's entry moves
-        # into t, which keeps the key order.
-        path.append(t)
-        s = t.left
-        while s.right is not None:
-            path.append(s)
-            s = s.right
-        root = _replace(path, s.key, s.left)
-        t.key = s.key
-        if s.prio != prio:
-            _reprioritize(root, s.key, prio, s.prio)
-        self._root = root
+        heap, pos = self._heap, self._pos
+        i = pos.pop(key)
+        last = heap.pop()
+        if i < len(heap):  # the last slot fills the hole: up or down
+            if i and last < heap[(i - 1) >> 1]:
+                _sift_up(heap, pos, i, last)
+            else:
+                _sift_down(heap, pos, i, last)
         return prio
 
     def best_edge(self) -> tuple[int, float]:
-        t = self._root
-        if t is None:
+        heap = self._heap
+        if not heap:
             raise KeyError("best_edge on empty heap")
-        m = t.maxp
-        while True:
-            if t.left is not None and t.left.maxp == m:
-                t = t.left
-            elif t.prio == m:
-                return t.key, t.prio
-            else:
-                t = t.right
+        negp, key = heap[0]
+        return key, -negp
 
     union = _union
     relabel = _relabel
 
     def entries(self) -> Iterator[tuple[int, float]]:
         """In increasing key order."""
-        stack, t = [], self._root
-        while stack or t is not None:
-            while t is not None:
-                stack.append(t)
-                t = t.left
-            t = stack.pop()
-            yield t.key, t.prio
-            t = t.right
+        return iter(sorted(self._tab.items()))
 
     def keys(self) -> list[int]:
-        return [k for k, _ in self.entries()]
+        return sorted(self._tab)
 
 
 class MeldNeighborHeap:

@@ -160,6 +160,21 @@ def test_selftest_passes(capsys):
     assert "ok heap-representation-equivalence" in out
 
 
+def test_selftest_heap_ops_catch_a_broken_heap(monkeypatch):
+    """The selftest's random heap-op run reports a tree heap whose sift-up
+    leaves every entry where it lands."""
+    import graphhac.heaps as heap_module
+
+    assert all(cli._heap_ops_mismatch(seed) == "" for seed in range(3))
+
+    def no_rise(heap, pos, i, item):
+        heap[i] = item
+        pos[item[1]] = i
+
+    monkeypatch.setattr(heap_module, "_sift_up", no_rise)
+    assert "tree heap" in cli._heap_ops_mismatch(0)
+
+
 def test_exit_code_missing_file(tmp_path):
     assert run_cli(
         ["hac", "--linkage", "single", "--input", str(tmp_path / "nope.wel"),

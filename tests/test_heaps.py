@@ -1,6 +1,5 @@
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,24 +16,38 @@ from graphhac.heaps import (
 IMPLS = [TreeNeighborHeap, MeldNeighborHeap]
 
 
-@pytest.fixture
-def tree_ops(monkeypatch):
-    """Counts the tree heap's node operations in `.count`: node makes,
-    descents, rebalance steps and rotations. `_rebalance` calls the rotations
-    through the module globals, so those are counted too; the length of a
-    descent is not."""
-    ops = SimpleNamespace(count=0)
+class _CountingPos(dict):
+    """A slot map that counts its writes. A sift writes one entry per slot
+    it moves plus the sifted entry's final slot, so `writes` counts sift
+    steps; a build or a reset makes a fresh map that is not counted."""
 
-    def counted(fn):
-        def wrapper(*args):
-            ops.count += 1
-            return fn(*args)
+    writes = 0
 
-        return wrapper
+    def __setitem__(self, key, slot):
+        self.writes += 1
+        super().__setitem__(key, slot)
 
-    for name in ("_TNode", "_descend", "_rebalance", "_rot_left", "_rot_right"):
-        monkeypatch.setattr(heap_module, name, counted(getattr(heap_module, name)))
-    return ops
+
+def count_sift_steps(*heaps):
+    """Swap each tree heap's slot map for a counting copy; returns a
+    function giving the steps counted so far over all of them."""
+    maps = []
+    for h in heaps:
+        h._pos = _CountingPos(h._pos)
+        maps.append(h._pos)
+    return lambda: sum(m.writes for m in maps)
+
+
+def check_heap(h):
+    """Walk a TreeNeighborHeap: heap order at every parent/child slot pair,
+    the slot map the inverse of the slot list, and the slots equal to the
+    key table."""
+    slots = h._heap
+    for i in range(1, len(slots)):
+        assert slots[(i - 1) // 2] < slots[i], f"heap order broken at slot {i}"
+    assert h._pos == {k: i for i, (_, k) in enumerate(slots)}
+    assert len(slots) == len(h._tab)
+    assert {k: -negp for negp, k in slots} == h._tab
 
 
 @pytest.mark.parametrize("cls", IMPLS)
@@ -55,25 +68,30 @@ def test_point_edits(cls):
 
 
 @pytest.mark.parametrize("cls", IMPLS)
-def test_update_to_same_priority_changes_nothing(cls, tree_ops, monkeypatch):
+def test_update_to_same_priority_changes_nothing(cls, monkeypatch):
     """update/upsert of the priority already stored return from the key
-    table: the tree is not descended and makes no node operation, and meld
-    pushes nothing onto its lazy list."""
+    table: the tree heap sifts nothing and writes no slot or map entry, and
+    meld pushes nothing onto its lazy list."""
 
-    def no_descent(*args):
-        raise AssertionError("a write of the stored priority descended the tree")
+    def no_sift(*args):
+        raise AssertionError("a write of the stored priority sifted")
 
     items = [(k, (k % 5) / 4) for k in range(64)]
     h = cls(items)
-    for name in ("_descend", "_reprioritize"):
-        monkeypatch.setattr(heap_module, name, no_descent)
-    pushed = len(h._heap) if cls is MeldNeighborHeap else None
-    tree_ops.count = 0
+    for name in ("_sift_up", "_sift_down"):
+        monkeypatch.setattr(heap_module, name, no_sift)
+    if cls is TreeNeighborHeap:
+        slots = list(h._heap)
+        steps = count_sift_steps(h)
+    else:
+        pushed = len(h._heap)
     for k, p in items:
         h.update(k, p)
         h.upsert(k, p)
-    assert tree_ops.count == 0
-    if pushed is not None:
+    if cls is TreeNeighborHeap:
+        assert steps() == 0 and h._heap == slots
+        check_heap(h)
+    else:
         assert len(h._heap) == pushed
     assert sorted(h.entries()) == items
     assert h.best_edge() == (4, 1.0)
@@ -353,24 +371,6 @@ def test_union_key_sets_match_map_merge_oracle():
         assert dict(merged.entries()) == pytest.approx(expect)
 
 
-def test_tree_union_cost_bound(tree_ops):
-    """Union of tree sizes (s, l) upserts the s smaller entries into the
-    larger tree: a descent each, and rebalancing that stops at the first
-    unchanged ancestor. Counted node operations stay within
-    c*s*(log2(l/s+1)+1); observed worst factor ~2.9, c = 8 documented. The
-    descents' lengths are not counted, and they make the union O(s log l)."""
-    c = 8.0
-    rng = random.Random(0)
-    for _ in range(120):
-        s = rng.randint(1, 150)
-        l = rng.randint(s, 1500)
-        a = TreeNeighborHeap((k, rng.random()) for k in rng.sample(range(8000), s))
-        b = TreeNeighborHeap((k, rng.random()) for k in rng.sample(range(8000), l))
-        tree_ops.count = 0
-        a.union(b, max)
-        assert tree_ops.count <= c * s * (math.log2(l / s + 1) + 1)
-
-
 def test_new_heap_factory():
     assert isinstance(new_heap("tree"), TreeNeighborHeap)
     assert isinstance(new_heap("meld"), MeldNeighborHeap)
@@ -378,31 +378,8 @@ def test_new_heap_factory():
         new_heap("bogus")
 
 
-def check_tree(h):
-    """Walk a TreeNeighborHeap: BST order, AVL balance, every node's height
-    and maxp equal to what its subtrees give, and the nodes' (key, priority)
-    pairs equal to the key table, so the node count is len(h)."""
-    nodes = {}
-
-    def walk(t, lo, hi):
-        if t is None:
-            return 0, -math.inf
-        assert (lo is None or lo < t.key) and (hi is None or t.key < hi)
-        nodes[t.key] = t.prio
-        hl, ml = walk(t.left, lo, t.key)
-        hr, mr = walk(t.right, t.key, hi)
-        assert abs(hl - hr) <= 1, f"unbalanced at {t.key}: {hl} vs {hr}"
-        assert t.height == 1 + max(hl, hr)
-        assert t.maxp == max(t.prio, ml, mr)
-        return t.height, t.maxp
-
-    walk(h._root, None, None)
-    assert len(nodes) == len(h)
-    assert nodes == h._tab
-
-
 def test_tree_invariants_under_random_ops():
-    """Every op of a random mix keeps the tree valid and equal to a dict."""
+    """Every op of a random mix keeps the heap valid and equal to a dict."""
     rng = random.Random(11)
     pools = [(TreeNeighborHeap(), {}) for _ in range(4)]
     for _ in range(4000):
@@ -452,11 +429,11 @@ def test_tree_invariants_under_random_ops():
             merged = h.union(g, max)
             emptied = g if merged is h else h
             assert len(emptied) == 0
-            check_tree(emptied)
+            check_heap(emptied)
             h = merged
             pools[i] = (h, oracle)
             pools[j] = (emptied, {})
-        check_tree(h)
+        check_heap(h)
         assert list(h.entries()) == sorted(oracle.items())
         assert len(h) == len(oracle)
         if oracle:
@@ -465,9 +442,9 @@ def test_tree_invariants_under_random_ops():
 
 
 def test_tree_delete_every_key():
-    """Delete each key of every tree of 1..40 items, built sorted and by
-    inserts. Distinct, all-equal and two-valued priorities make the unlinked
-    predecessor's priority both differ from and equal the deleted one's."""
+    """Delete each key of every heap of 1..40 items, built at once and by
+    inserts. Distinct, all-equal and two-valued priorities make the moved
+    last slot tie with, rise above and fall below the deleted one."""
     rng = random.Random(17)
     for d in range(1, 41):
         order = list(range(d))
@@ -480,7 +457,7 @@ def test_tree_delete_every_key():
                     inserted.insert(k, prio(k))
                 for h in (TreeNeighborHeap(items), inserted):
                     assert h.delete(key) == prio(key)
-                    check_tree(h)
+                    check_heap(h)
                     rest = {k: p for k, p in items if k != key}
                     assert dict(h.entries()) == rest
                     if rest:
@@ -488,12 +465,48 @@ def test_tree_delete_every_key():
                         assert h.best_edge() == (min(k for k, p in rest.items() if p == bp), bp)
 
 
+def test_tree_delete_sifts_moved_last_up():
+    """The last slot can belong above the hole it fills: slots by priority
+    [10, 5, 9, 4, 3, 8, 7]; deleting 4 (below 5) moves 7 into its slot, and
+    7 must rise past 5."""
+    prios = [10, 5, 9, 4, 3, 8, 7]
+    h = TreeNeighborHeap(enumerate(map(float, prios)))
+    assert [-negp for negp, _ in h._heap] == prios  # heapify kept the layout
+    assert h.delete(3) == 4.0
+    check_heap(h)
+    assert [-negp for negp, _ in h._heap] == [10, 7, 9, 5, 3, 8]
+    for key, p in ((0, 10.0), (2, 9.0), (5, 8.0), (6, 7.0), (1, 5.0), (4, 3.0)):
+        assert h.best_edge() == (key, p)
+        assert h.delete(key) == p
+        check_heap(h)
+
+
+def test_tree_update_in_place_keeps_slot_map():
+    """A fall at a leaf and a rise blocked by the parent keep their slot:
+    only the slot is written, the map is not, and it stays the inverse of
+    the slots through later moves of the same keys."""
+    h = TreeNeighborHeap((k, 1.0 - k / 16) for k in range(15))
+    leaf, inner = h._heap[-1][1], h._heap[4][1]
+    steps = count_sift_steps(h)
+    h.update(leaf, h.get(leaf) / 2)  # a leaf that falls stays put
+    h.update(inner, h.get(inner) + 0.01)  # its parent still ranks higher
+    assert steps() == 0
+    assert h._heap[-1][1] == leaf and h._heap[4][1] == inner
+    check_heap(h)
+    h.update(leaf, 2.0)  # now both move: to the root and down to a leaf
+    h.upsert(inner, 0.0)
+    check_heap(h)
+    assert h.best_edge() == (leaf, 2.0)
+    assert h.delete(inner) == 0.0 and h.delete(leaf) == 2.0
+    check_heap(h)
+
+
 def test_tree_sorted_build_valid():
     rng = random.Random(2)
     for d in range(65):
         items = sorted((k, rng.random()) for k in rng.sample(range(1000), d))
         h = TreeNeighborHeap(items)
-        check_tree(h)
+        check_heap(h)
         assert list(h.entries()) == items
         assert len(h) == d
 
@@ -502,47 +515,89 @@ def test_tree_unsorted_and_duplicate_input():
     rng = random.Random(3)
     for d in (2, 7, 40):
         items = [(k, rng.random()) for k in rng.sample(range(100), d)]
-        items.sort(reverse=True)
-        h = TreeNeighborHeap(items)
-        check_tree(h)
-        assert list(h.entries()) == sorted(items)
+        for order in (sorted(items, reverse=True), items):
+            h = TreeNeighborHeap(order)
+            check_heap(h)
+            assert list(h.entries()) == sorted(items)
     for items in ([(1, 0.5), (1, 0.7)], [(1, 0.5), (4, 0.1), (2, 0.3), (4, 0.9)]):
         with pytest.raises(KeyError):
             TreeNeighborHeap(items)
 
 
-def test_tree_sorted_build_cost(tree_ops):
-    """A sorted build makes each node once: at most 2d tree operations."""
+def test_tree_sorted_build_cost(monkeypatch):
+    """A build is one `heapify` of the slot list in any input order: no
+    Python-level sift runs."""
+
+    def no_sift(*args):
+        raise AssertionError("build sifted in Python")
+
+    for name in ("_sift_up", "_sift_down"):
+        monkeypatch.setattr(heap_module, name, no_sift)
+    rng = random.Random(4)
     for d in (1, 2, 3, 10, 64, 100, 1000):
-        tree_ops.count = 0
-        TreeNeighborHeap((k, 1.0 / (k + 1)) for k in range(d))
-        assert tree_ops.count <= 2 * d
+        items = [(k, 1.0 / (k + 1)) for k in range(d)]
+        for order in (items, items[::-1], rng.sample(items, d)):
+            check_heap(TreeNeighborHeap(order))
 
 
-def test_tree_delete_cost_bound(tree_ops):
-    """One delete on a d-item tree costs at most c*(log2(d)+1) tree
-    operations: one descent, then the node or its in-order predecessor is
-    unlinked and the path above is rebalanced once, stopping at the first
-    unchanged ancestor. Observed worst factor ~1.2 on random trees; c = 3
-    documented."""
-    c = 3.0
+def test_tree_point_op_cost_bound():
+    """insert, update and upsert on a heap of d entries (d counted after an
+    insert) take at most floor(log2 d) + 1 sift steps: one slot per level
+    passed plus the final one."""
+    rng = random.Random(6)
+    for _ in range(30):
+        h = TreeNeighborHeap()
+        steps = count_sift_steps(h)
+        for k in rng.sample(range(5000), rng.randint(1, 600)):
+            before = steps()
+            h.insert(k, rng.choice((rng.random(), 0.5)))
+            assert steps() - before <= math.floor(math.log2(len(h))) + 1
+        bound = math.floor(math.log2(len(h))) + 1
+        for k in rng.sample(sorted(h._tab), min(len(h), 100)):
+            for op in (h.update, h.upsert):
+                before = steps()
+                op(k, rng.choice((rng.random(), 0.0, 1.0, 0.5)))
+                assert steps() - before <= bound
+        check_heap(h)
+
+
+def test_tree_delete_cost_bound():
+    """One delete on a d-entry heap takes at most floor(log2 d) + 1 sift
+    steps: the last slot fills the hole and moves up or down once."""
     rng = random.Random(5)
     for d in (1, 2, 5, 16, 33, 64, 255, 1000):
         items = [(k, rng.random()) for k in range(d)]
         for key in rng.sample(range(d), min(d, 40)):
             h = TreeNeighborHeap(items)
-            tree_ops.count = 0
+            steps = count_sift_steps(h)
             h.delete(key)
-            assert tree_ops.count <= c * (math.log2(d) + 1)
+            assert steps() <= math.floor(math.log2(d)) + 1
+            check_heap(h)
     for _ in range(40):
         h, keys = TreeNeighborHeap(), set()
         for k in rng.sample(range(5000), rng.randint(1, 400)):
             h.insert(k, rng.random())
             keys.add(k)
-        for k in rng.sample(sorted(keys), len(keys) // 3):
+        steps = count_sift_steps(h)
+        for k in rng.sample(sorted(keys), len(keys) // 3 + 1):
+            d, before = len(h), steps()
             h.delete(k)
             keys.discard(k)
-        key = rng.choice(sorted(keys))
-        tree_ops.count = 0
-        h.delete(key)
-        assert tree_ops.count <= c * (math.log2(len(keys)) + 1)
+            assert steps() - before <= math.floor(math.log2(d)) + 1
+        check_heap(h)
+
+
+def test_tree_union_cost_bound():
+    """Union of sizes s <= l upserts the s smaller entries into the larger
+    heap, each a point op on at most s + l entries: at most
+    s * (log2(s + l) + 1) sift steps in all."""
+    rng = random.Random(0)
+    for _ in range(120):
+        s = rng.randint(1, 150)
+        l = rng.randint(s, 1500)
+        a = TreeNeighborHeap((k, rng.random()) for k in rng.sample(range(8000), s))
+        b = TreeNeighborHeap((k, rng.random()) for k in rng.sample(range(8000), l))
+        steps = count_sift_steps(a, b)
+        merged = a.union(b, max)
+        assert steps() <= s * (math.log2(s + l) + 1)
+        check_heap(merged)
