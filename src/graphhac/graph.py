@@ -14,11 +14,13 @@ import numpy as np
 # stray huge id cannot size every per-vertex list of the engines.
 ID_SLACK = 2**20
 
-# build_knn_graph computes distances a block of rows at a time; a block's
-# (rows, n, d) difference array holds at most this many bytes (at least one
-# row). Large enough to amortize the per-block numpy calls, small enough to
-# stay in cache and to keep peak RSS where the per-row loop had it (at 512
-# KiB the benchmark's peak RSS rose by 0.4-1 MiB).
+# build_knn_graph works a block of rows at a time; a block's (rows, n) float64
+# Gram-form distances hold at most this many bytes (at least one row), and its
+# candidates are verified in chunks whose two (chunk, d) float64 arrays, the
+# gathered p_j and p_i, fit in it together.
+# Large enough to amortize the per-block numpy calls, small enough to stay in
+# cache and to keep peak RSS low (512 KiB raised the benchmark's peak RSS by
+# 0.4-1 MiB when blocks were (rows, n, d) differences; not re-measured since).
 KNN_BLOCK_BYTES = 2**18
 
 
@@ -294,56 +296,141 @@ def load_labels(path: str | Path) -> np.ndarray:
     return np.asarray(out, dtype=int)
 
 
+def _gram_block(ct: np.ndarray, s: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Gram-form squared distances s_i + s_j - 2 c_i.c_j from the centred
+    points i0..i1 to every centred point, as a (rows, n) array. `ct` holds
+    the centred points as contiguous columns, and s their squared norms.
+    numpy's own einsum loops compute the dot products: a BLAS call would be
+    faster for large blocks, but its first call maps the library's kernels
+    and buffers, which raised the peak RSS of a run clustering iris by about
+    0.4 MiB."""
+    g = np.einsum("ki,kj->ij", ct[:, i0:i1], ct)
+    g *= -2.0
+    g += s
+    g += s[i0:i1, None]
+    return g
+
+
 def build_knn_graph(points: PointSet | np.ndarray, k: int) -> WeightedGraph:
     """Exact brute-force k-NN graph, symmetrized.
 
     Each point contributes directed edges to its k nearest neighbors by
     Euclidean distance (ties broken by lower point index), weighted by the
     similarity 1/(1+d), which strictly decreases with the distance d; the
-    directed graph is then symmetrized with the max rule. Distances are
-    computed a block of rows at a time by direct differences,
-    sqrt(sum((p_j - p_i)^2)), summed over the same contiguous last axis as a
-    single row's, so every distance, d(i, j) == d(j, i) included, is bitwise
-    the same whatever the block size.
-    The block's (rows, n, d) differences stay within KNN_BLOCK_BYTES, so
-    working memory is O(block * n * d) plus O(n k) for the chosen edges,
-    never O(n^2). O(n^2 d) time, intended for desk scale. A non-finite
-    coordinate, or a distance that overflows to inf, raises ValueError.
+    directed graph is then symmetrized with the max rule. Every distance is
+    computed by direct differences, sqrt(sum((p_j - p_i)^2)), summed over
+    the contiguous last axis of a (pairs, d) array, so each one, d(i, j) ==
+    d(j, i) included, is bitwise the same however the pairs are grouped.
+    O(n^2 d) time, intended for desk scale. A non-finite coordinate, or a
+    distance that overflows to inf, raises ValueError.
+
+    Filter, then verify. Only the pairs that can be among a row's k nearest
+    get a direct distance. The points are first centred, c_i = fl(p_i - m)
+    for the computed mean m, because the Gram form's rounding error grows
+    with the squared norms s_i = |c_i|^2: centring keeps them near the
+    spread of the data rather than its offset from the origin. For a block
+    of rows, G_ij = s_i + s_j - 2 c_i.c_j (`_gram_block`) approximates the
+    exact squared distance D_ij = |p_i - p_j|^2. Let T_i be row i's k-th
+    smallest G_ij (j != i), u = 2^-53 the unit roundoff, eta the smallest
+    subnormal, S = max_j s_j and
+        e_i = 2 (d + 4) (u (s_i + S) + eta).
+    Row i keeps every j != i with G_ij <= T_i + 8 e_i, verifies those by the
+    direct form, and takes its k smallest by (distance, index).
+
+    Why no neighbor is lost (to first order in u; Higham, Accuracy and
+    Stability of Numerical Algorithms, gamma_n = n u / (1 - n u)):
+    (1) |G_ij - D_ij| <= e_i, whatever order the norms and dot products are
+        summed in, with or without fused multiply-adds, so the bound holds
+        for numpy's loops, any BLAS kernel and any thread split. Centring
+        moves each c_i by at most u |c_i|, which moves D_ij by at most about
+        4 u (s_i + s_j). The two squared norms and the dot product carry
+        gamma_d relative to s_i, s_j and |c_i| |c_j| <= (s_i + s_j) / 2, the
+        scaling by -2 is exact, and the two additions, each of a value at
+        most 2 (s_i + s_j), add 4 u (s_i + s_j). That totals (2 d + 8) u
+        (s_i + s_j) <= e_i. A product that underflows adds at most eta / 2,
+        2 d eta in all with the doubled dot product, which the eta term
+        covers.
+    (2) The direct form returns d(i, j)^2 = D_ij (1 + theta), |theta| <=
+        gamma_(d+4) (difference, square, d-term sum, square root), plus
+        d eta / 2 of underflow. So d(i, j) <= d(i, l) implies D_ij <= D_il
+        (1 + 2 (d + 4) u) + d eta.
+    (3) Let K be the k points j != i of smallest G_ij. Each l in K has D_il
+        <= T_i + e_i by (1), and T_i <= 2 (s_i + S). Each of the true k
+        nearest is no farther than some l in K, as K holds k points, so by
+        (2) it has D_ij <= T_i + 3 e_i and by (1) G_ij <= T_i + 4 e_i.
+    The window 8 e_i is twice that bound. The factor 2 absorbs the second-
+    order terms and the roundings in forming e_i and T_i + 8 e_i, and it
+    keeps the filter exact under a further error of up to e_i in every G_ij
+    (the same steps then give 6 e_i). Over-estimating the window only
+    admits more candidates.
+
+    Overflow. If 8 S <= the largest float, nothing overflows: |p_i - p_j|
+    <= (|c_i| + |c_j|) (1 + u) <= 2 sqrt(S) (1 + u), and |G_ij| <= 4 S to
+    first order, so every intermediate of G and of a direct distance stays
+    below about half the largest float. Where that certificate fails (S is
+    inf or nan, or coordinates reach about 1e153), the filter is skipped:
+    every j != i is a candidate, verified by the same direct form, which
+    raises on the first overflowing distance in row order, and selected by
+    the same code. That is the only other path.
+
+    Memory. A block's (rows, n) Gram values stay within KNN_BLOCK_BYTES, and
+    its candidates are verified in chunks whose gathered (chunk, d) arrays
+    stay within it too, so a filter that passes whole clusters (offset
+    clusters, whose large s_i widen the window) and the unfiltered path
+    both work in O(KNN_BLOCK_BYTES) memory plus O(n k) for the chosen
+    edges, never O(n^2).
     """
-    pts = points.points if isinstance(points, PointSet) else np.asarray(points, float)
-    n = len(pts)
+    pts = np.asarray(points.points if isinstance(points, PointSet) else points, float)
+    n, d = pts.shape
     if n == 0:
         raise ValueError("empty point set")
     if not 1 <= k < n:
         raise ValueError(f"k={k} must satisfy 1 <= k < n={n}")
     if not np.isfinite(pts).all():
         raise ValueError("non-finite coordinate")
-    rows = max(1, KNN_BLOCK_BYTES // (pts.itemsize * pts.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ct = (pts - pts.mean(axis=0)).T.copy()
+        s = np.einsum("ij,ij->j", ct, ct)
+    smax = s.max()
+    certified = smax <= np.finfo(float).max / 8  # False for inf and nan
+    u, eta = np.finfo(float).eps / 2, np.finfo(float).smallest_subnormal
+    window = 8 * 2 * (d + 4) * (u * (s + smax) + eta)  # 8 e_i
+    rows = max(1, KNN_BLOCK_BYTES // (8 * n))
+    chunk = max(1, KNN_BLOCK_BYTES // (16 * d))
     nbr = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        with np.errstate(over="ignore"):
-            diff = pts[None, :, :] - pts[i0:i1, None, :]
-            np.square(diff, out=diff)
-        block = np.sqrt(diff.sum(axis=-1))
-        if not np.isfinite(block).all():
-            i, j = np.argwhere(~np.isfinite(block))[0].tolist()
-            raise ValueError(f"distance between points {i0 + i} and {j} overflows to inf")
         r = np.arange(i1 - i0)
-        block[r, r + i0] = np.inf  # exclude self
-        # the k closest in (distance, index) order; a row with more than k
-        # points within its k-th distance takes the exact tie rule alone
-        cand = np.argpartition(block, k - 1, axis=1)[:, :k]
-        cd = np.take_along_axis(block, cand, axis=1)
-        order = np.lexsort((cand, cd))
-        cand, cd = np.take_along_axis(cand, order, 1), np.take_along_axis(cd, order, 1)
-        tied = np.flatnonzero((block <= cd[:, -1:]).sum(axis=1) > k)
-        for t in tied.tolist():
-            row = block[t]
-            c = np.flatnonzero(row <= cd[t, -1])
-            cand[t] = c[np.lexsort((c, row[c]))[:k]]
-            cd[t] = row[cand[t]]
-        nbr[i0:i1], dist[i0:i1] = cand, cd
+        if certified:
+            g = _gram_block(ct, s, i0, i1)
+            g[r, r + i0] = np.inf  # exclude self
+            keep = g <= (np.partition(g, k - 1, axis=1)[:, k - 1] + window[i0:i1])[:, None]
+            del g  # free the block before the candidates' arrays are made
+        else:
+            keep = np.ones((i1 - i0, n), dtype=bool)
+            keep[r, r + i0] = False
+        cnt = keep.sum(axis=1)  # at least k in every row
+        j = np.flatnonzero(keep) % n  # row-major, so each row's j ascend
+        i = np.repeat(r + i0, cnt)
+        dd = np.empty(len(j))
+        for c0 in range(0, len(j), chunk):
+            c1 = c0 + chunk
+            with np.errstate(over="ignore"):
+                diff = pts.take(j[c0:c1], axis=0)
+                diff -= pts.take(i[c0:c1], axis=0)
+                np.square(diff, out=diff)
+            dd[c0:c1] = np.sqrt(diff.sum(axis=-1))
+            if not np.isfinite(dd[c0:c1]).all():
+                t = c0 + int(np.argmin(np.isfinite(dd[c0:c1])))
+                raise ValueError(f"distance between points {i[t]} and {j[t]} overflows to inf")
+        # each row's k closest in (distance, index) order: pad the rows'
+        # candidates with inf, then a stable sort by distance keeps ascending
+        # j among equal distances
+        pad = np.full((i1 - i0, cnt.max()), np.inf)
+        pad[np.arange(pad.shape[1]) < cnt[:, None]] = dd
+        first = np.cumsum(cnt) - cnt
+        pick = first[:, None] + np.argsort(pad, axis=1, kind="stable")[:, :k]
+        nbr[i0:i1], dist[i0:i1] = j[pick], dd[pick]
     sims = 1.0 / (1.0 + dist.ravel())
     return _symmetrize_arrays(n, np.repeat(np.arange(n), k), nbr.ravel(), sims)[0]

@@ -277,9 +277,10 @@ def _normal(seed: int, n: int, d: int) -> np.ndarray:
     (12, 39, 5),
 ])
 def test_knn_matches_reference_at_any_block_size(monkeypatch, make, n, d, rows):
-    # The block budget is set so that exactly `rows` rows fit in one block;
-    # the graph must not depend on it, bit for bit.
-    monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", rows * 8 * n * d)
+    # The block budget is set so that exactly `rows` rows of (rows, n) Gram
+    # values fit in one block (and candidates are verified in chunks of
+    # rows * n // (2 d)); the graph must not depend on it, bit for bit.
+    monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", rows * 8 * n)
     pts = make(n + d, n, d)
     for k in (1, 3, n // 2, n - 1):
         assert build_knn_graph(pts, k) == _as_graph(n, knn_reference(pts, k)), (k, rows)
@@ -296,15 +297,100 @@ def test_knn_lattice_ties_at_kth_distance_follow_index_rule(monkeypatch):
     assert ((d <= kth[:, None]).sum(axis=1) > k).sum() > 10
     expect = _as_graph(40, knn_reference(pts, k))
     for rows in (1, 5, 40):
-        monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", rows * 8 * 40 * 2)
+        monkeypatch.setattr(graph, "KNN_BLOCK_BYTES", rows * 8 * 40)
         assert build_knn_graph(pts, k) == expect, rows
 
 
 def test_knn_matches_reference_at_default_block_size():
-    # n=250, d=8 splits into several blocks under the default budget
+    # n=250 splits into several (rows, n) blocks under the default budget
     pts = _normal(11, 250, 8)
-    assert graph.KNN_BLOCK_BYTES // (8 * 250 * 8) < 250 // 3
+    assert graph.KNN_BLOCK_BYTES // (8 * 250) < 250
     assert build_knn_graph(pts, 15) == _as_graph(250, knn_reference(pts, 15))
+
+
+def _two_blobs(seed: int, n: int, d: int, offset: float) -> np.ndarray:
+    pts = _normal(seed, n, d)
+    pts[: n // 2] += offset
+    pts[n // 2 :] -= offset
+    return pts
+
+
+def _near_overflow(seed: int, n: int) -> np.ndarray:
+    # x near +-6e153, y near 6e153: the widest difference squares to about
+    # 1.44e308, so no distance overflows, but the centred squared norms
+    # (about 3.6e307) fail the Gram certificate 8 max s <= the largest float
+    rng = np.random.default_rng(seed)
+    side = rng.choice([-1.0, 1.0], size=n)
+    return np.c_[side * 6e153, np.full(n, 6e153)] + rng.normal(size=(n, 2)) * 1e150
+
+
+HARD_INPUTS = {
+    "two_blobs_1e8": lambda: _two_blobs(21, 80, 3, 1e8),
+    "blob_offset_1e12": lambda: _normal(22, 60, 4) + 1e12,
+    "near_overflow": lambda: _near_overflow(23, 40),
+    "duplicates": lambda: np.repeat(_normal(24, 15, 3), 4, axis=0),
+    "d1": lambda: _normal(25, 50, 1),
+    "d39": lambda: _normal(26, 40, 39),
+}
+
+
+@pytest.mark.parametrize("name", HARD_INPUTS)
+def test_knn_exact_where_the_gram_form_cancels(name):
+    # large offsets widen the filter's window until it passes whole
+    # clusters, duplicates tie at the k-th distance, and near-overflow
+    # coordinates skip the filter; every graph must equal the direct-
+    # difference reference bit for bit
+    pts = HARD_INPUTS[name]()
+    n = len(pts)
+    for k in (1, 3, 5, n // 2, n - 1):
+        assert build_knn_graph(pts, k) == _as_graph(n, knn_reference(pts, k)), k
+
+
+def test_knn_near_overflow_builds_without_the_gram_form(monkeypatch):
+    # the certificate fails, so the block is verified whole: the Gram block
+    # is never formed, and the build succeeds instead of raising
+    def no_gram(*args):
+        raise AssertionError("Gram block formed past the overflow certificate")
+
+    monkeypatch.setattr(graph, "_gram_block", no_gram)
+    pts = _near_overflow(27, 30)
+    assert build_knn_graph(pts, 4) == _as_graph(30, knn_reference(pts, 4))
+
+
+@pytest.mark.parametrize("name, k", [
+    ("two_blobs_1e8", 5),
+    ("blob_offset_1e12", 4),
+    ("duplicates", 5),
+    ("lattice", 4),
+    ("iris", 50),
+])
+def test_knn_filter_survives_a_gram_error_of_its_bound(monkeypatch, name, k):
+    # Each Gram value is within e_i = 2 (d + 4) (u (s_i + max s) + eta) of
+    # the exact squared distance; the filter's window is 8 e_i, so a further
+    # error of e_i must not lose a neighbor. The worst such error raises
+    # each row's true k nearest by e_i and lowers every other value by e_i.
+    if name == "lattice":
+        pts = _lattice(3, 40, 2)
+    elif name == "iris":
+        pts = load_points_csv(DATA / "iris.csv").points
+    else:
+        pts = HARD_INPUTS[name]()
+    n, d = pts.shape
+    dist = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    np.fill_diagonal(dist, np.inf)
+    nearest = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        nearest[i, np.lexsort((np.arange(n), dist[i]))[:k]] = True
+    u, eta = np.finfo(float).eps / 2, np.finfo(float).smallest_subnormal
+    gram = graph._gram_block
+
+    def off_by_bound(ct, s, i0, i1):
+        e = 2 * (d + 4) * (u * (s[i0:i1] + s.max()) + eta)
+        return gram(ct, s, i0, i1) + np.where(nearest[i0:i1], 1.0, -1.0) * e[:, None]
+
+    expect = _as_graph(n, knn_reference(pts, k))
+    monkeypatch.setattr(graph, "_gram_block", off_by_bound)
+    assert build_knn_graph(pts, k) == expect
 
 
 def test_knn_working_memory_stays_below_a_distance_matrix():
