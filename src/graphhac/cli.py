@@ -14,6 +14,7 @@ import os
 import random
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -363,7 +364,36 @@ def _cmd_selftest(args) -> int:
     check("average-oracle-equivalence", ok_avg, detail)
     check("closeness-audit", ok_close, detail)
     check("heap-representation-equivalence", not repr_fail, repr_fail)
+    trip_fail = _round_trip_mismatch(args.seed, trials)
+    check("edge-list-round-trip", not trip_fail, trip_fail)
     return EXIT_OK if not failures else EXIT_SELFTEST
+
+
+def _round_trip_mismatch(seed: int, trials: int) -> str:
+    """write_edge_list then load_edge_list on random graphs, with weights
+    of either sign, signed zeros, subnormals and large magnitudes, and on
+    one k-NN graph: each must come back bitwise. Returns the first graph
+    that does not, or "" when all do."""
+    rng = random.Random(seed)
+    graphs = []
+    for t in range(trials):
+        g = instances.random_connected_graph(seed * 4099 + t)
+        scales = (1.0, -1.0, 0.0, -0.0, 1e-320, 1e300)
+        edges = tuple((u, v, w * rng.choice(scales)) for u, v, w in g.edges)
+        graphs.append(WeightedGraph(g.n, edges))
+    points = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(60)]
+    graphs.append(build_knn_graph(points, 5))
+
+    def bits(g: WeightedGraph) -> tuple:
+        return g.n, [(u, v, w.hex()) for u, v, w in g.edges]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.edges"
+        for i, g in enumerate(graphs):
+            write_edge_list(g, path)
+            if bits(load_edge_list(path)) != bits(g):
+                return f"graph {i} of {len(graphs)} came back changed"
+    return ""
 
 
 def main(argv: list[str] | None = None) -> int:

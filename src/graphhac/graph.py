@@ -5,14 +5,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
 # parse_edge_list caps n = 1 + max id at 2 * m + ID_SLACK for m edges, so one
 # stray huge id cannot size every per-vertex list of the engines.
 ID_SLACK = 2**20
+
+# parse_edge_list splits this many lines at a time: the split rows cost
+# several times the graph they become, so holding them all at once doubled
+# the parse's peak memory.
+PARSE_CHUNK = 2**10
 
 # build_knn_graph works a block of rows at a time; a block's (rows, n) float64
 # Gram-form distances hold at most this many bytes (at least one row), and its
@@ -95,11 +101,10 @@ def validate_graph(g: WeightedGraph) -> None:
 
 
 def _check_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
-    """validate_graph's rules on edge arrays, for graphs built from arrays:
-    ids in [0, n), u < v, pairs strictly increasing, finite weights. Raises
-    for the first rule broken, naming its first offending edge. (On the
-    small tuple graphs that parsing yields, validate_graph's loop is the
-    cheaper check.)"""
+    """validate_graph's rules on edge arrays, for graphs built from arrays
+    (the k-NN build, `symmetrize` and parsing): ids in [0, n), u < v, pairs
+    strictly increasing, finite weights. Raises for the first rule broken,
+    naming its first offending edge."""
     if n < 0:
         raise ValueError("negative vertex count")
     same_u = np.r_[False, u[1:] == u[:-1]]
@@ -131,19 +136,67 @@ def parse_edge_list(
     ids are non-negative integers; n = 1 + max id, which may not exceed
     2 * m + ID_SLACK (ValueError), so n stays proportional to the input.
     duplicate_policy is "error" or "max" (combine repeated unordered pairs by
-    max weight).
+    max weight; on equal weights, 0.0 and -0.0, the first line's wins).
+
+    Two paths. The bulk path splits the lines PARSE_CHUNK at a time, checks
+    every row's field count, converts each column with `int` / `float` (so
+    the numbers are the ones a line-by-line parse gives) and hands the
+    arrays to `_symmetrize_arrays`, which sorts, merges duplicates and
+    checks the rules. Where it rejects the input, for any reason,
+    `_edge_list_error` reads the same lines one at a time and raises the
+    first error in line order, with its line number: the bulk path never
+    names an error itself. An iterable `source` is read once, into a list.
     """
     if duplicate_policy not in ("error", "max"):
         raise ValueError(f"unknown duplicate policy {duplicate_policy!r}")
-    lines = source.splitlines() if isinstance(source, str) else source
-    pairs: dict[tuple[int, int], float] = {}
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    try:
+        g = _parse_bulk(lines, weighted, duplicate_policy == "error")
+    except (TypeError, ValueError, OverflowError):  # a bad token, or an id beyond int64
+        g = None
+    if g is None:
+        _edge_list_error(lines, weighted, duplicate_policy)
+    return g
+
+
+def _parse_bulk(lines: list[str], weighted: bool, strict: bool) -> WeightedGraph | None:
+    """parse_edge_list's bulk path. Returns None, or raises, for any input
+    that breaks a rule; `strict` forbids duplicate pairs."""
+    want = 3 if weighted else 2
+    u, v, w = np.empty(len(lines), np.int64), np.empty(len(lines), np.int64), np.ones(len(lines))
+    m = 0
+    for i in range(0, len(lines), PARSE_CHUNK):
+        rows = [r for r in map(str.split, lines[i : i + PARSE_CHUNK]) if r and r[0][0] != "#"]
+        if set(map(len, rows)) - {want}:
+            return None
+        k = len(rows)
+        cols = list(zip(*rows)) or [()] * want
+        u[m : m + k] = np.fromiter(map(int, cols[0]), np.int64, k)
+        v[m : m + k] = np.fromiter(map(int, cols[1]), np.int64, k)
+        if weighted:
+            w[m : m + k] = np.fromiter(map(float, cols[2]), float, k)
+        m += k
+    u, v, w = u[:m], v[:m], w[:m]
+    n = int(max(u.max(), v.max())) + 1 if m else 0
+    # _check_edges raises for negative ids and non-finite weights
+    g, loops = _symmetrize_arrays(n, u, v, w)
+    if loops or strict and g.m < m or n > 2 * g.m + ID_SLACK:
+        return None
+    return g
+
+
+def _edge_list_error(lines: list[str], weighted: bool, duplicate_policy: str) -> NoReturn:
+    """Raise the first error of an edge list that the bulk path rejected:
+    the line loop that names every GraphFormatError with its line, then
+    the ValueError of the vertex-id bound."""
+    want = 3 if weighted else 2
+    pairs: set[tuple[int, int]] = set()
     max_id = -1
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        want = 3 if weighted else 2
         if len(fields) != want:
             raise GraphFormatError(
                 f"expected {want} fields, got {len(fields)}", lineno
@@ -163,15 +216,10 @@ def parse_edge_list(
                 raise GraphFormatError(f"bad weight {fields[2]!r}", lineno) from None
             if not math.isfinite(w):
                 raise GraphFormatError(f"non-finite weight {fields[2]!r}", lineno)
-        else:
-            w = 1.0
         key = (min(u, v), max(u, v))
-        if key in pairs:
-            if duplicate_policy == "error":
-                raise GraphFormatError(f"duplicate edge ({u},{v})", lineno)
-            pairs[key] = max(pairs[key], w)
-        else:
-            pairs[key] = w
+        if key in pairs and duplicate_policy == "error":
+            raise GraphFormatError(f"duplicate edge ({u},{v})", lineno)
+        pairs.add(key)
         max_id = max(max_id, u, v)
     bound = 2 * len(pairs) + ID_SLACK
     if max_id + 1 > bound:
@@ -179,7 +227,7 @@ def parse_edge_list(
             f"max vertex id {max_id} gives n = {max_id + 1} vertices, above the "
             f"bound 2 * m + {ID_SLACK} = {bound} for m = {len(pairs)} edges"
         )
-    return make_graph(max_id + 1, ((u, v, w) for (u, v), w in pairs.items()))
+    raise AssertionError("the bulk parse rejected an edge list that breaks no rule")
 
 
 def load_edge_list(path: str | Path, **kwargs) -> WeightedGraph:
@@ -187,20 +235,26 @@ def load_edge_list(path: str | Path, **kwargs) -> WeightedGraph:
 
 
 def write_edge_list(g: WeightedGraph, path: str | Path) -> None:
-    text = "".join(f"{u} {v} {w:.17g}\n" for u, v, w in g.edges)
+    """One "u v w" line per edge, w as %.17g, which round-trips every float."""
+    text = ("%d %d %.17g\n" * g.m) % tuple(chain.from_iterable(g.edges))
     Path(path).write_text(text, encoding="utf-8")
 
 
 def degree_log_reweight(g: WeightedGraph) -> WeightedGraph:
     """Replace every weight by 1/ln(d(u)+d(v)), the similarity used for
     unweighted inputs. Degrees come from the simple graph, so d(u)+d(v) >= 2
-    and the log is always positive. Structure is unchanged."""
+    and the log is always positive. Structure and edge order are unchanged,
+    so `g` must be valid (as every WeightedGraph built here is) and is not
+    checked again; `math.log` runs once per distinct degree sum."""
     if g.m == 0:
         raise ValueError("cannot reweight a graph with no edges")
     deg = g.degrees()
-    return make_graph(
-        g.n, ((u, v, 1.0 / math.log(deg[u] + deg[v])) for u, v, _ in g.edges)
-    )
+    sums = [deg[u] + deg[v] for u, v, _ in g.edges]
+    log = {s: math.log(s) for s in set(sums)}
+    # one float object per edge: naive_avg_hac ran about 3% slower on a star
+    # whose edges all shared one
+    edges = tuple((u, v, 1.0 / log[s]) for (u, v, _), s in zip(g.edges, sums))
+    return WeightedGraph(g.n, edges)
 
 
 def symmetrize(
@@ -231,15 +285,22 @@ def _symmetrize_arrays(
     n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
 ) -> tuple[WeightedGraph, int]:
     """symmetrize on arrays of directed edges: canonical (min, max) pairs,
-    one lexsort, and the max of each run of equal pairs. Max is exact, so
-    every weight is one of the input weights."""
+    one stable lexsort, and the max of each run of equal pairs. Max is
+    exact, so every weight is one of the input weights; as with Python's
+    `max`, the first maximal copy in input order wins, which only tells
+    0.0 and -0.0 apart."""
     loop = u == v
     a, b, w = np.minimum(u, v)[~loop], np.maximum(u, v)[~loop], w[~loop]
     order = np.lexsort((b, a))
     a, b, w = a[order], b[order], w[order]
     if len(a):
         starts = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
-        a, b, w = a[starts], b[starts], np.maximum.reduceat(w, starts)
+        a, b, top = a[starts], b[starts], np.maximum.reduceat(w, starts)
+        zero = top == 0  # np.maximum may keep any zero of a +-0.0 tie
+        if zero.any():
+            first = np.minimum.reduceat(np.where(w == 0, np.arange(len(w)), len(w)), starts)
+            top[zero] = w[first[zero]]
+        w = top
     _check_edges(n, a, b, w)
     edges = tuple(zip(a.tolist(), b.tolist(), w.tolist()))
     return WeightedGraph(n, edges), int(np.count_nonzero(loop))
@@ -261,39 +322,58 @@ class PointSet:
 
 def load_points_csv(path: str | Path) -> PointSet:
     """One point per row, all-numeric comma-separated columns; a nan or inf
-    coordinate is a format error."""
-    rows: list[list[float]] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    coordinate is a format error. Every field goes through `float` in one
+    pass; where that rejects the file, `_points_error` names the line."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in map(str.strip, lines) if line]
+    if len(set(map(len, rows))) == 1:
+        try:
+            pts = np.fromiter(map(float, chain.from_iterable(rows)), float)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(pts).all():
+                return PointSet(pts.reshape(len(rows), -1))
+    _points_error(lines)
+
+
+def _points_error(lines: list[str]) -> NoReturn:
+    """Raise the first error of a point file that load_points_csv rejected,
+    by reading it one line at a time."""
+    dim = None
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
         try:
-            rows.append([float(x) for x in line.split(",")])
+            row = [float(x) for x in line.split(",")]
         except ValueError:
             raise GraphFormatError("non-numeric field", lineno) from None
-        if not all(map(math.isfinite, rows[-1])):
+        if not all(map(math.isfinite, row)):
             raise GraphFormatError("non-finite coordinate", lineno)
-        if len(rows[-1]) != len(rows[0]):
-            raise GraphFormatError(
-                f"dimension mismatch: {len(rows[-1])} vs {len(rows[0])}", lineno
-            )
-    if not rows:
+        dim = dim or len(row)
+        if len(row) != dim:
+            raise GraphFormatError(f"dimension mismatch: {len(row)} vs {dim}", lineno)
+    if dim is None:
         raise GraphFormatError("empty point file")
-    return PointSet(np.asarray(rows, dtype=float))
+    raise AssertionError("load_points_csv rejected a point file that breaks no rule")
 
 
 def load_labels(path: str | Path) -> np.ndarray:
-    """One integer class id per line."""
-    out = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            out.append(int(line))
-        except ValueError:
-            raise GraphFormatError(f"bad label {line!r}", lineno) from None
-    return np.asarray(out, dtype=int)
+    """One integer class id per line. Blank lines are skipped; where `int`
+    rejects a line, a second pass names it."""
+    lines = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    try:
+        return np.asarray(list(map(int, filter(None, lines))), dtype=int)
+    except ValueError:
+        pass
+    for lineno, line in enumerate(lines, 1):
+        if line:
+            try:
+                int(line)
+            except ValueError:
+                raise GraphFormatError(f"bad label {line!r}", lineno) from None
+    raise AssertionError("load_labels rejected a label file that breaks no rule")
 
 
 def _gram_block(ct: np.ndarray, s: np.ndarray, i0: int, i1: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ def test_selftest_passes(capsys):
     assert "ok triangle-oracle-equivalence" in out
     assert "ok average-oracle-equivalence" in out
     assert "ok heap-representation-equivalence" in out
+    assert "ok edge-list-round-trip" in out
+
+
+def test_selftest_round_trip_catches_a_lossy_writer(monkeypatch):
+    assert cli._round_trip_mismatch(0, 3) == ""
+
+    def lossy(g, path):
+        Path(path).write_text("".join(f"{u} {v} {w:.15g}\n" for u, v, w in g.edges))
+
+    monkeypatch.setattr(cli, "write_edge_list", lossy)
+    assert cli._round_trip_mismatch(0, 3).startswith("graph 0 of 4")
 
 
 def test_selftest_heap_ops_catch_a_broken_heap(monkeypatch):

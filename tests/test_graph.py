@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from graphhac.graph import (
     WeightedGraph,
     build_knn_graph,
     degree_log_reweight,
+    load_labels,
     load_points_csv,
     make_graph,
     parse_edge_list,
@@ -86,6 +88,131 @@ def test_parse_rejects_vertex_ids_above_edge_bound():
 def test_parse_unweighted_placeholder():
     g = parse_edge_list("0 1\n1 2", weighted=False)
     assert all(w == 1.0 for _, _, w in g.edges)
+
+
+def reference_parse(text: str, weighted: bool, duplicate_policy: str):
+    """(n, edges) of a valid edge-list text, read one line at a time from
+    the format's description alone: '#' opens a comment line, each pair is
+    stored as (min, max), a repeated pair under "max" keeps its larger
+    weight and, on equal weights, the first one, and edges come sorted."""
+    best: dict[tuple[int, int], float] = {}
+    for line in text.splitlines():
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        a, b = sorted((int(tokens[0]), int(tokens[1])))
+        w = float(tokens[2]) if weighted else 1.0
+        if (a, b) not in best:
+            best[a, b] = w
+        else:
+            assert duplicate_policy == "max"
+            if w > best[a, b]:
+                best[a, b] = w
+    n = 1 + max((b for _, b in best), default=-1)
+    return n, sorted((a, b, w) for (a, b), w in best.items())
+
+
+def random_edge_file(rng: np.random.Generator, weighted: bool, duplicates: bool) -> str:
+    """A valid edge list with shuffled lines, randomly reversed pairs, comment
+    and blank lines, tabs, padding and mixed line ends; weights include
+    0.0, -0.0, negatives, subnormals and large magnitudes, and with
+    `duplicates` some pairs repeat, reversed or not."""
+    n = int(rng.integers(2, 40))
+    pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(3 * n)}
+    pool = [0.0, -0.0, 1.0, -2.5, 5e-324, 1e-310, 1.7e308, 1 / 3]
+    lines = []
+    for a, b in pairs:
+        for _ in range(int(rng.integers(1, 4)) if duplicates else 1):
+            w = pool[rng.integers(len(pool))]
+            if rng.random() < 0.5:
+                w = float(rng.normal() * 10.0 ** rng.integers(-5, 5))
+            u, v = (a, b) if rng.random() < 0.5 else (b, a)
+            sep = ("\t", " ", "  \t ")[rng.integers(3)]
+            fields = [str(u), str(v)] + ([repr(w)] if weighted else [])
+            lines.append(" " * int(rng.integers(2)) + sep.join(fields) + "\t" * int(rng.integers(2)))
+    lines += ["", "   ", "# a comment", "\t#x 1 2", "#"] * int(rng.integers(3))
+    rng.shuffle(lines)
+    eol = ("\n", "\r\n")[rng.integers(2)]
+    return eol.join(lines) + eol * int(rng.integers(2))
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("duplicate_policy", ["error", "max"])
+@pytest.mark.parametrize("chunk", [1, 7, graph.PARSE_CHUNK])
+def test_parse_matches_reference_parser(monkeypatch, weighted, duplicate_policy, chunk):
+    monkeypatch.setattr(graph, "PARSE_CHUNK", chunk)
+    rng = np.random.default_rng([int(weighted), len(duplicate_policy)])
+    for _ in range(60):
+        text = random_edge_file(rng, weighted, duplicate_policy == "max")
+        n, edges = reference_parse(text, weighted, duplicate_policy)
+        for source in (text, iter(text.splitlines(keepends=True))):
+            g = parse_edge_list(source, weighted=weighted, duplicate_policy=duplicate_policy)
+            assert g.n == n
+            assert [(u, v, w.hex()) for u, v, w in g.edges] == [(u, v, w.hex()) for u, v, w in edges]
+            assert all(type(u) is int and type(v) is int and type(w) is float for u, v, w in g.edges)
+
+
+def test_parse_max_duplicates_keep_the_first_signed_zero():
+    text = "0 1 -0.0\n1 0 0.0\n2 3 0.0\n3 2 -0.0\n2 3 -1\n4 5 -1\n5 4 -0.0\n4 5 0.0\n"
+    g = parse_edge_list(text, duplicate_policy="max")
+    assert [math.copysign(1.0, w) for _, _, w in g.edges] == [-1.0, 1.0, -1.0]
+
+
+@pytest.mark.parametrize(
+    "text, kind, message, line",
+    [
+        # a whole-file token split would read these six tokens as two edges
+        ("0 1 0.5 7\n2 3\n", GraphFormatError, "expected 3 fields, got 4", 1),
+        ("0 1 0.5\n2 3\n", GraphFormatError, "expected 3 fields, got 2", 2),
+        (f"0 1 0.5\n1 {10**20} 0.5\n", ValueError,
+         f"max vertex id {10**20} gives n = {10**20 + 1} vertices, above the bound "
+         f"2 * m + {ID_SLACK} = {4 + ID_SLACK} for m = 2 edges", None),
+        ("0 1 0.5\n1.5 2 0.5\n", GraphFormatError,
+         "bad vertex id: invalid literal for int() with base 10: '1.5'", 2),
+        ("0 1 nan\n", GraphFormatError, "non-finite weight 'nan'", 1),
+        ("0 1 0.5\n1 2 inf\n", GraphFormatError, "non-finite weight 'inf'", 2),
+        ("0 1 0.5\n1 2 1e400\n", GraphFormatError, "non-finite weight '1e400'", 2),
+        ("0 1 0.5\n1 2 x\n", GraphFormatError, "bad weight 'x'", 2),
+        ("0 1 0.5\n2 3 0.5\n1 0 0.25\n", GraphFormatError, "duplicate edge (1,0)", 3),
+        ("0 1 0.5\n4 4 1.0\n", GraphFormatError, "self-loop (4,4)", 2),
+        ("0 1 0.5\n2 -3 1.0\n", GraphFormatError, "negative vertex id in (2,-3)", 2),
+        # the first error in line order wins, whatever its kind
+        ("0 0 1.0\n-1 2 1.0\n", GraphFormatError, "self-loop (0,0)", 1),
+        ("# c\n\n0 1 0.5\r\n3 3 1\r\n", GraphFormatError, "self-loop (3,3)", 4),
+    ],
+)
+def test_parse_hostile_file_keeps_its_error(monkeypatch, text, kind, message, line):
+    policies = ["error"] if "duplicate" in message else ["error", "max"]
+    for chunk, lines, policy in product((1, graph.PARSE_CHUNK), (False, True), policies):
+        monkeypatch.setattr(graph, "PARSE_CHUNK", chunk)
+        source = iter(text.splitlines(keepends=True)) if lines else text
+        with pytest.raises(ValueError) as exc:
+            parse_edge_list(source, duplicate_policy=policy)
+        assert type(exc.value) is kind
+        assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+        assert getattr(exc.value, "line", None) == line
+
+
+def test_point_and_label_files_keep_their_errors(tmp_path):
+    f = tmp_path / "f"
+    for text, message in [
+        ("1,2\n\n3,x\n", "line 3: non-numeric field"),
+        ("1,2\n3,nan\n4,5,6\n", "line 2: non-finite coordinate"),
+        ("1,2\n4,5,6\n3,inf\n", "line 2: dimension mismatch: 3 vs 2"),
+        ("\n  \n", "empty point file"),
+    ]:
+        f.write_text(text)
+        with pytest.raises(GraphFormatError) as exc:
+            load_points_csv(f)
+        assert str(exc.value) == message
+    f.write_text("1, 2\n\n-3.5,4e1\n")
+    assert load_points_csv(f).points.tolist() == [[1.0, 2.0], [-3.5, 40.0]]
+    f.write_text("1\n\n 2 \n1.0\n")
+    with pytest.raises(GraphFormatError) as exc:
+        load_labels(f)
+    assert str(exc.value) == "line 4: bad label '1.0'"
+    f.write_text("1\n\n 2 \n-3\n")
+    assert load_labels(f).tolist() == [1, 2, -3]
 
 
 def test_validator_catches_violations():
