@@ -177,8 +177,11 @@ def _parse_bulk(lines: list[str], weighted: bool, strict: bool) -> WeightedGraph
             w[m : m + k] = np.fromiter(map(float, cols[2]), float, k)
         m += k
     u, v, w = u[:m], v[:m], w[:m]
+    # before the merge: under "max" a -inf beside a finite copy would vanish
+    if not np.isfinite(w).all():
+        return None
     n = int(max(u.max(), v.max())) + 1 if m else 0
-    # _check_edges raises for negative ids and non-finite weights
+    # _check_edges raises for negative ids
     g, loops = _symmetrize_arrays(n, u, v, w)
     if loops or strict and g.m < m or n > 2 * g.m + ID_SLACK:
         return None
@@ -360,20 +363,17 @@ def _points_error(lines: list[str]) -> NoReturn:
 
 
 def load_labels(path: str | Path) -> np.ndarray:
-    """One integer class id per line. Blank lines are skipped; where `int`
-    rejects a line, a second pass names it."""
-    lines = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
-    try:
-        return np.asarray(list(map(int, filter(None, lines))), dtype=int)
-    except ValueError:
-        pass
-    for lineno, line in enumerate(lines, 1):
-        if line:
-            try:
-                int(line)
-            except ValueError:
-                raise GraphFormatError(f"bad label {line!r}", lineno) from None
-    raise AssertionError("load_labels rejected a label file that breaks no rule")
+    """One integer class id per line."""
+    out = []
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            out.append(int(line))
+        except ValueError:
+            raise GraphFormatError(f"bad label {line!r}", lineno) from None
+    return np.asarray(out, dtype=int)
 
 
 def _gram_block(ct: np.ndarray, s: np.ndarray, i0: int, i1: int) -> np.ndarray:

@@ -172,6 +172,9 @@ def test_parse_max_duplicates_keep_the_first_signed_zero():
         ("0 1 nan\n", GraphFormatError, "non-finite weight 'nan'", 1),
         ("0 1 0.5\n1 2 inf\n", GraphFormatError, "non-finite weight 'inf'", 2),
         ("0 1 0.5\n1 2 1e400\n", GraphFormatError, "non-finite weight '1e400'", 2),
+        # under "max" a merge of these pairs would hide the -inf
+        ("0 1 0.5\n0 2 -inf\n2 0 1.0\n", GraphFormatError, "non-finite weight '-inf'", 2),
+        ("0 1 1.0\n1 0 -1e400\n", GraphFormatError, "non-finite weight '-1e400'", 2),
         ("0 1 0.5\n1 2 x\n", GraphFormatError, "bad weight 'x'", 2),
         ("0 1 0.5\n2 3 0.5\n1 0 0.25\n", GraphFormatError, "duplicate edge (1,0)", 3),
         ("0 1 0.5\n4 4 1.0\n", GraphFormatError, "self-loop (4,4)", 2),
