@@ -2,9 +2,9 @@
 
 Near-linear-time HAC on edge-weighted similarity graphs: chain- and
 heap-based drivers for the triangle-based linkages (single, complete,
-WPGMA), an exact average-linkage engine driven by a dynamic low-outdegree
-edge orientation, and an epsilon-close approximate average-linkage engine,
-plus a brute-force k-NN graph pipeline and ARI/NMI evaluation.
+WPGMA), an exact average-linkage engine on the chain driver that validates
+heap tops on extraction, and an epsilon-close approximate average-linkage
+engine, plus a brute-force k-NN graph pipeline and ARI/NMI evaluation.
 """
 
 from .average import approx_avg_hac, delta_from_epsilon, exact_avg_hac, naive_avg_hac
@@ -35,7 +35,6 @@ from .linkage import (
     TRIANGLE_KINDS,
     WPGMA,
 )
-from .orientation import Orientation, default_cap
 from .reference import reference_hac
 
 __version__ = "0.1.0"
@@ -48,7 +47,6 @@ __all__ = [
     "COMPLETE",
     "Dendrogram",
     "Merge",
-    "Orientation",
     "PointSet",
     "RunAudit",
     "SINGLE",
@@ -62,7 +60,6 @@ __all__ = [
     "chain_hac",
     "closeness_audit",
     "cut_dendrogram",
-    "default_cap",
     "degree_log_reweight",
     "delta_from_epsilon",
     "exact_avg_hac",

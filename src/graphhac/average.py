@@ -23,11 +23,15 @@ and lets the rebuild build the survivor's heap once (`_AvgState.fold_rows`).
   that order, so tied inputs are checked against an eager refresh instead
   (`test_exact_validation_on_ties`).
 * exact_avg_hac: the chain loop shared with `chain_hac`
-  (`engine._chain_loop`) plus a bounded-outdegree orientation. The
-  invariant is that every edge's entry in the heap of its head is true and
-  every other stored priority bounds its true one from above; the loop's
-  `best` callback validates the top of a cluster's heap on extraction, so
-  it rewrites at most the cluster's few out-edges.
+  (`engine._chain_loop`) with validation on extraction and nothing else.
+  A merge writes true values where it changes a cut sum and carries upper
+  bounds everywhere else; the loop's `best` callback rewrites stale tops
+  until the top is true. This departs from the paper, which keeps a
+  low-outdegree edge orientation so that a cluster's stale entries are its
+  few out-edges: a charging argument over the pairs that ever share a heap
+  entry already bounds the rewrites by O(n sqrt(m log m)) (see
+  `exact_avg_hac`), the same near n sqrt(m) cost without the orientation's
+  flips and its per-merge upkeep.
 * approx_avg_hac: the global-heap loop shared with `heap_hac`
   (`engine._global_heap_loop`) with per-cluster staleness snapshots. A
   cluster whose size outgrows its snapshot by the internal factor (1+delta)
@@ -48,7 +52,6 @@ from .engine import HeapState, RunAudit, _chain_loop, _global_heap_loop
 from .graph import WeightedGraph
 from .heaps import new_heap
 from .linkage import AVG_APPROX, AVG_EXACT, check_weights
-from .orientation import Orientation, default_cap
 
 
 def delta_from_epsilon(epsilon: float) -> float:
@@ -139,33 +142,26 @@ class _AvgState(HeapState):
         self.builder.record(folded, survivor, mw, size[survivor])
         return folded, survivor
 
-    def merge_structural(
-        self, a: int, b: int, audit: RunAudit | None
-    ) -> tuple[int, int, list[int], set[int]]:
+    def merge_structural(self, a: int, b: int, audit: RunAudit | None) -> int:
         """Fold one side of {a, b} into the other (`fold_order`) in one pass
         over the folded row that leaves each entry it touches final: the cut
         sums add into the survivor's row, the survivor's heap takes the true
         priority of each joined edge and the folded heap's stored bound for
         each new one, and each ex-neighbor's heap swaps its folded entry for
-        the survivor's true priority. The folded heap is left empty.
-
-        Returns (folded, survivor, folded's ex-neighbors in increasing id
-        order, the set of joined ones among them)."""
+        the survivor's true priority. The folded heap is left empty. Returns
+        the survivor."""
         folded, survivor = self._start_merge(a, b, audit)
         heaps, cut, size = self.heaps, self.cut, self.size
         row_f, row_s = cut[folded], cut[survivor]
         heap_f, heap_s = heaps[folded], heaps[survivor]
         new_size = size[survivor]
         heap_s.delete(folded)
-        nbrs = sorted(row_f)
-        collisions: set[int] = set()
-        for c in nbrs:
+        for c, cs in row_f.items():
             row_c = cut[c]
-            cs = row_c.pop(folded)
+            del row_c[folded]
             if c in row_s:
                 cs += row_s[c]
                 heap_s.update(c, cs / size[c])
-                collisions.add(c)
             else:
                 heap_s.insert(c, heap_f.get(c))
             row_s[c] = row_c[survivor] = cs
@@ -173,7 +169,7 @@ class _AvgState(HeapState):
             heaps[c].upsert(survivor, cs / new_size)
         row_f.clear()
         heaps[folded] = type(heap_f)()
-        return folded, survivor, nbrs, collisions
+        return survivor
 
     def fold_rows(self, a: int, b: int, audit: RunAudit | None) -> int:
         """Fold one side of {a, b} into the other for a merge whose survivor
@@ -195,14 +191,14 @@ class _AvgState(HeapState):
         return survivor
 
 
-def refresh_out_edges(state: _AvgState, a: int) -> int:
+def refresh_out_edges(state: _AvgState, a: int, audit: RunAudit | None = None) -> int:
     """Return a's best neighbor under true weights, validating the top of
     heap(a) on extraction: a top whose stored priority is not its true one
     is rewritten and the top read again. Every stored priority is at least
     its true one (a write stores a true value, and a true value only falls
     as sizes grow), so the first true top is the true maximum under the
-    (max priority, min id) tie rule. Only stale entries are rewritten: in
-    exact's orientation, at most a's out-edges."""
+    (max priority, min id) tie rule. Each rewrite adds one to
+    `audit.fixes`."""
     heap, row, size = state.heaps[a], state.cut[a], state.size
     while True:
         c, p = heap.best_edge()
@@ -210,6 +206,8 @@ def refresh_out_edges(state: _AvgState, a: int) -> int:
         if p == true:
             return c
         heap.update(c, true)
+        if audit is not None:
+            audit.fixes += 1
 
 
 def rebuild_cluster(
@@ -249,86 +247,67 @@ def rebuild_cluster(
 
 def exact_avg_hac(
     graph: WeightedGraph,
-    delta_cap: int | None = None,
     *,
     heap_impl: str = "tree",
     audit: RunAudit | None = None,
 ) -> Dendrogram:
-    """Chain-driver exact UPGMA with a dynamic bounded-outdegree orientation.
+    """Chain-driver exact UPGMA that validates heap tops on extraction.
 
-    Merges and flips keep every edge's entry in the heap of its head true;
-    its entry in the tail's heap only goes stale high, so `best(t)` validates
-    heap(t)'s top on extraction (`refresh_out_edges`) and rewrites at most
-    outdeg(t) <= cap entries."""
+    A merge is `_AvgState.merge_structural`. It writes the true priority of
+    each joined edge in both endpoint heaps and of each ex-neighbor's entry
+    for the survivor; every other entry keeps a stored priority that bounds
+    its true one from above. `best(t)` is `refresh_out_edges`, which
+    rewrites stale tops of heap(t) until the top is true.
+
+    Bound on the rewrites ("fixes"). Let P be the set of ordered pairs
+    (t, X) that ever share an entry, X in heap(t). P starts with 2m pairs,
+    and a merge adds at most 2 deg(folded): the survivor's entries for the
+    folded side's neighbors and theirs for it. So |P| <= 2m + 2 sum
+    deg(folded), which is O(m log m) under `engine.merge_cost_bound`.
+    - An entry for X in heap(t) turns stale only when it is created with a
+      carried bound or when X grows, since every change of a cut sum writes
+      the true value and t's own size is not in the entry. One `best(t)`
+      call fixes an entry at most once. So with q(t) the number of
+      `best(t)` calls and g(X) the number of times X grows, the pair is
+      fixed at most 1 + min(q(t), g(X)) times.
+    - Sum q <= 3n: each call either pushes a neighbor (at most 2n - 1
+      pushes, audited by the loop) or ends in a merge (at most n - 1).
+    - Sum g <= n: each merge grows one cluster.
+    - Split P at a threshold x > 0. A pair with q(t) <= x adds at most x,
+      so those add at most |P| x in all. Fewer than 3n/x clusters t have
+      q(t) > x, and the pairs of one t add at most sum g <= n, so those add
+      less than 3n^2/x. With x = n sqrt(3/|P|):
+
+          fixes <= |P| + 2n sqrt(3|P|) = O(n sqrt(m log m)).
+
+    That is the paper's near n sqrt(m) bound without its orientation.
+    `audit.fixes` counts the rewrites; with checks on, each `best(t)` is
+    followed by `_check_best`."""
     check_weights(AVG_EXACT, graph.edges)
     st = _AvgState(graph, heap_impl)
-    need = -(-graph.m // graph.n)  # each edge has a tail: some outdegree >= ceil(m/n)
-    if delta_cap is not None and delta_cap < need:
-        raise ValueError(
-            f"delta_cap {delta_cap} is below ceil(m/n) = {need} "
-            f"(m={graph.m}, n={graph.n}): no orientation fits under it"
-        )
-    cap = delta_cap if delta_cap is not None else default_cap(graph.m)
-
-    def on_flip(tail: int, head: int) -> None:
-        # edge now tail -> head: the head's entry must hold the true priority
-        st.heaps[head].update(tail, st.true_prio(head, tail))
-
-    orient = Orientation(cap, on_flip=on_flip, audit=audit is not None)
-    for u, v, _w in graph.edges:
-        orient.insert_edge(u, v)
 
     def merge(x: int, y: int) -> int:
-        folded, survivor, nbrs, collisions = st.merge_structural(x, y, audit)
-        # drop the folded side's orientation edges before any reinsertion so
-        # cascades never touch a dead cluster; deletions never flip
-        orient.delete_edge(x, y)
-        for c in nbrs:
-            orient.delete_edge(folded, c)
-        for c in nbrs:
-            if c not in collisions:  # the fold left joined entries true
-                st.heaps[survivor].update(c, st.true_prio(survivor, c))
-                orient.insert_edge(c, survivor)  # flips rewrite heads' entries
-        for c in orient.out_neighbors(survivor):
-            st.heaps[c].update(survivor, st.true_prio(c, survivor))
-        if audit is not None:
-            audit.flip_count = orient.flip_count
-            audit.max_outdegree = max(audit.max_outdegree, orient.max_outdegree())
-            assert orient.max_outdegree() <= cap, "outdegree cap violated"
-            if audit.checks:
-                _check_in_edges(st, orient)
-        return survivor
+        return st.merge_structural(x, y, audit)
 
     def best(t: int) -> int:
-        if audit is None or not audit.checks:
-            return refresh_out_edges(st, t)
-        heap = st.heaps[t]
-        before = dict(heap.entries())
-        b = refresh_out_edges(st, t)
-        fixed = sum(p != before[c] for c, p in heap.entries())
-        assert fixed <= orient.outdegree(t), (
-            f"best({t}) rewrote {fixed} entries, outdegree {orient.outdegree(t)}"
-        )
+        b = refresh_out_edges(st, t, audit)
+        if audit is not None and audit.checks:
+            _check_best(st, t, b)
         return b
 
     _chain_loop(graph.n, st.active, st.degree, best, merge, audit)
-    if audit is not None:
-        audit.orientation_events = orient.events
-        audit.final_orientation = {
-            (u, v) for u, s in orient.out.items() for v in s
-        }
     return st.finish()
 
 
-def _check_in_edges(st: _AvgState, orient: Orientation) -> None:
-    """Every oriented edge's head must store exactly the true priority for
-    its tail: each write to that entry is `true_prio` of the current state."""
-    for a, row in enumerate(st.cut):
-        for b in row:
-            if a < b:  # each edge once
-                tail, head = (a, b) if b in orient.out.get(a, ()) else (b, a)
-                stored, true = st.heaps[head].get(tail), st.true_prio(head, tail)
-                assert stored == true, f"in-edge ({tail}->{head}) stale: {stored} vs {true}"
+def _check_best(st: _AvgState, t: int, b: int) -> None:
+    """`best(t)` returned b: its entry must hold exactly its true priority,
+    and no entry of heap(t) may be below its true one. Each write stores a
+    true value and a true value only falls, so both hold bit for bit."""
+    for c, p in st.heaps[t].entries():
+        true = st.true_prio(t, c)
+        assert p >= true, f"heap({t}) entry {c} below its true priority: {p} < {true}"
+    stored, true = st.heaps[t].get(b), st.true_prio(t, b)
+    assert stored == true, f"best({t}) returned {b} at {stored}, true {true}"
 
 
 def _check_sandwich(st: _AvgState, delta: float) -> None:

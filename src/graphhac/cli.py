@@ -88,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="driver for triangle-based linkages (default chain)",
     )
     hac.add_argument("--epsilon", type=float, default=None, help="avg-approx closeness")
-    hac.add_argument("--delta-cap", type=int, default=None, help="avg-exact outdegree cap")
     hac.add_argument("--heap-impl", choices=list(HEAP_IMPLS), default="tree")
     hac.add_argument("--audit", action="store_true", help="run instrumented checks")
 
@@ -126,8 +125,6 @@ def _cmd_hac(args) -> int:
     kind = args.linkage
     if args.epsilon is not None and kind != linkage.AVG_APPROX:
         raise UsageError("--epsilon only applies to --linkage avg-approx")
-    if args.delta_cap is not None and kind != linkage.AVG_EXACT:
-        raise UsageError("--delta-cap only applies to --linkage avg-exact")
     if args.driver is not None and kind not in linkage.TRIANGLE_KINDS:
         raise UsageError("--driver only applies to triangle-based linkages")
     g = load_edge_list(
@@ -142,9 +139,7 @@ def _cmd_hac(args) -> int:
         run = engine.heap_hac if args.driver == "heap" else engine.chain_hac
         d = run(g, kind, heap_impl=args.heap_impl, audit=audit)
     elif kind == linkage.AVG_EXACT:
-        d = average.exact_avg_hac(
-            g, args.delta_cap, heap_impl=args.heap_impl, audit=audit
-        )
+        d = average.exact_avg_hac(g, heap_impl=args.heap_impl, audit=audit)
     else:
         eps = 0.1 if args.epsilon is None else args.epsilon
         d = average.approx_avg_hac(g, eps, heap_impl=args.heap_impl, audit=audit)

@@ -31,20 +31,20 @@ from .linkage import LinkageError, check_weights, combine_fn, is_triangle_based
 
 
 class RunAudit:
-    """Opt-in instrumentation collected during a clustering run. `checks`
+    """Opt-in instrumentation collected during a clustering run: merge
+    degrees, chain stack pushes, approximate rebuilds and exact average
+    linkage's `fixes`, the heap entries its validation rewrote. `checks`
     also runs each engine's invariant checks: heap mirror and total edges
-    for the triangle linkages, in-edge priorities for exact average linkage,
-    the stored-vs-true sandwich for approximate average linkage."""
+    for the triangle linkages, a true best entry over upper bounds after
+    every BestEdge for exact average linkage, the stored-vs-true sandwich
+    for approximate average linkage."""
 
     def __init__(self, checks: bool = False):
         self.checks = checks
         self.merge_degrees: list[tuple[int, int]] = []
         self.stack_pushes = 0
         self.rebuild_counts: dict[int, int] = {}
-        self.flip_count = 0
-        self.max_outdegree = 0
-        self.orientation_events: list[tuple[str, int, int]] | None = None
-        self.final_orientation: set[tuple[int, int]] | None = None
+        self.fixes = 0
 
 
 def merge_cost_total(trace: list[tuple[int, int]]) -> int:

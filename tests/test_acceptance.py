@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_engine import HUB_STARS
 
 from graphhac.average import approx_avg_hac, delta_from_epsilon, exact_avg_hac, naive_avg_hac
 from graphhac.dendrogram import same_clustering
@@ -25,6 +26,7 @@ from graphhac.engine import (
 )
 from graphhac.evaluation import best_level_scores, closeness_audit
 from graphhac.graph import build_knn_graph, load_labels, load_points_csv
+from graphhac.heaps import HEAP_IMPLS
 from graphhac.instances import random_connected_graph, star_graph
 from graphhac.linkage import TRIANGLE_KINDS
 from graphhac.reference import reference_hac
@@ -181,7 +183,7 @@ def test_criterion_5_stored_vs_true_sandwich(c1_graphs):
     )
 
 
-def test_criterion_6_merge_cost_bound(c1_graphs, c1_runs):
+def test_criterion_6_merge_cost_bound(c1_graphs, c1_runs, c2_runs):
     runs, _ = c1_runs
     for g, per in zip(c1_graphs, runs):
         bound = merge_cost_bound(g.m)
@@ -189,31 +191,34 @@ def test_criterion_6_merge_cost_bound(c1_graphs, c1_runs):
             for side in ("chain_audit", "heap_audit"):
                 total = merge_cost_total(per[kind][side].merge_degrees)
                 assert total <= bound, (g.n, g.m, kind, side, total, bound)
+    # exact average linkage's rewrite bound (criterion 7) rests on this too
+    for g, _exact, _naive, audit in c2_runs[0]:
+        total, bound = merge_cost_total(audit.merge_degrees), merge_cost_bound(g.m)
+        assert total <= bound, (g.n, g.m, "avg-exact", total, bound)
     print("\nPASS criterion-6: sum of min-degrees <= 2m(log2(2m)+1) on every run")
 
 
-def test_criterion_7_orientation_invariants(c2_runs):
-    runs, _ = c2_runs
-    checked = 0
-    for _g, _exact, _naive, audit in runs:
-        # outdeg <= cap was asserted inside every insert/delete (audit
-        # mode checks each public operation); replay the flip log here
-        assert audit.max_outdegree <= max(8, math.ceil(2 * math.sqrt(2 * _g.m)))
-        mirror: set[tuple[int, int]] = set()
-        for kind, a, b in audit.orientation_events:
-            if kind == "orient":
-                mirror.add((a, b))
-            elif kind == "flip":
-                mirror.discard((b, a))
-                mirror.add((a, b))
-            else:  # drop
-                mirror.discard((a, b))
-                mirror.discard((b, a))
-        assert mirror == audit.final_orientation
-        checked += 1
+def test_criterion_7_validation_bound(c1_graphs):
+    """Exact average linkage's validation on extraction rewrites at most
+    |P| + 2n sqrt(3|P|) heap entries, where P holds the pairs that ever
+    share an entry and |P| <= 2m + 2 * merge_cost_total (the argument is in
+    `exact_avg_hac`'s docstring). Checks run after every BestEdge on the c1
+    graphs and the hub stars. On the n = 10^4 star a check reads the hub's
+    whole heap, about n^2/2 entries over the run, so that run only counts."""
+    big = star_graph(10**4)
+    worst, runs = 0.0, 0
+    for heap_impl in HEAP_IMPLS:
+        for g in [*c1_graphs, *HUB_STARS, big]:
+            audit = RunAudit(checks=g is not big)
+            exact_avg_hac(g, heap_impl=heap_impl, audit=audit)
+            pairs = 2 * g.m + 2 * merge_cost_total(audit.merge_degrees)
+            bound = pairs + 2 * g.n * math.sqrt(3 * pairs)
+            assert audit.fixes <= bound, (heap_impl, g.n, g.m, audit.fixes, bound)
+            worst = max(worst, audit.fixes / bound)
+            runs += 1
     print(
-        f"\nPASS criterion-7: outdegree cap held after every operation and "
-        f"flip-log replay matched the final orientation on {checked} runs"
+        f"\nPASS criterion-7: fixes <= |P| + 2n*sqrt(3|P|) on {runs} exact runs "
+        f"(worst ratio {worst:.3f})"
     )
 
 

@@ -7,7 +7,7 @@ from test_engine import HUB_STARS, TIED_GRAPHS
 from graphhac import average
 from graphhac.average import (
     _AvgState,
-    _check_in_edges,
+    _check_best,
     approx_avg_hac,
     delta_from_epsilon,
     exact_avg_hac,
@@ -21,7 +21,6 @@ from graphhac.evaluation import closeness_audit
 from graphhac.graph import make_graph
 from graphhac.instances import random_connected_graph, star_graph
 from graphhac.linkage import WEIGHT_BOUND
-from graphhac.orientation import Orientation, default_cap
 from graphhac.reference import reference_hac
 
 TRIANGLE = make_graph(3, [(0, 1, 1.0), (1, 2, 0.5), (0, 2, 0.5)])
@@ -86,17 +85,6 @@ def test_exact_meld_equals_tree(small_graphs):
         assert exact_avg_hac(g, heap_impl="meld").merges == exact_avg_hac(g).merges
 
 
-def test_exact_small_delta_cap_still_correct(small_graphs):
-    # caps far below the default force heavy flip cascades but never change
-    # the output; the cap must stay >= 2x arboricity for the scheme to settle
-    assert same_clustering(exact_avg_hac(STAR5, delta_cap=2), naive_avg_hac(STAR5))
-    big_star = star_graph(40)
-    assert same_clustering(exact_avg_hac(big_star, delta_cap=2), naive_avg_hac(big_star))
-    for g in small_graphs[:6]:
-        cap = 2 * math.isqrt(g.m) + 2
-        assert same_clustering(exact_avg_hac(g, delta_cap=cap), naive_avg_hac(g))
-
-
 def test_exact_shared_neighbor_collapses_to_single_edge():
     # both merge partners adjacent to 2: the contracted graph must keep one
     # (survivor, 2) edge and the cut sums must add
@@ -158,31 +146,23 @@ def test_exact_in_edge_invariant():
         exact_avg_hac(g, audit=RunAudit(checks=True))
 
 
-def test_check_in_edges_is_bitwise():
-    # every write to a head's entry is true_prio itself, so one ulp is stale
+def test_check_best_is_bitwise():
+    # every write stores true_prio itself, so an entry one ulp below it is
+    # caught, as is a returned entry one ulp above it
     g = random_connected_graph(5000, max_n=48)
     st = _AvgState(g, "tree")
-    orient = Orientation(default_cap(g.m))
-    for u, v, _w in g.edges:
-        orient.insert_edge(u, v)
-    _check_in_edges(st, orient)
-    tail = next(a for a in range(g.n) if orient.out_neighbors(a))
-    head = orient.out_neighbors(tail)[0]
-    p = st.heaps[head].get(tail)
-    st.heaps[head].update(tail, math.nextafter(p, math.inf))
-    with pytest.raises(AssertionError, match="stale"):
-        _check_in_edges(st, orient)
-
-
-def test_exact_orientation_log_same_on_both_heaps(small_graphs):
-    # the folded side's edges are dropped in increasing id order on either heap
-    for g in small_graphs[:10]:
-        logs = []
-        for heap_impl in ("tree", "meld"):
-            audit = RunAudit()
-            exact_avg_hac(g, heap_impl=heap_impl, audit=audit)
-            logs.append((audit.orientation_events, audit.final_orientation, audit.flip_count))
-        assert logs[0] == logs[1], g.n
+    t = next(a for a in range(g.n) if len(st.cut[a]) >= 2)
+    b = refresh_out_edges(st, t)
+    _check_best(st, t, b)
+    c = next(c for c in st.cut[t] if c != b)
+    p = st.heaps[t].get(c)
+    st.heaps[t].update(c, math.nextafter(p, 0.0))
+    with pytest.raises(AssertionError, match="below its true priority"):
+        _check_best(st, t, b)
+    st.heaps[t].update(c, p)
+    st.heaps[t].update(b, math.nextafter(st.heaps[t].get(b), math.inf))
+    with pytest.raises(AssertionError, match=f"best\\({t}\\) returned {b}"):
+        _check_best(st, t, b)
 
 
 @pytest.mark.parametrize("heap_impl", ["tree", "meld"])
@@ -197,13 +177,14 @@ def test_cut_maps_mirror_contraction(heap_impl):
                 break
             b = min(st.cut[a])
             stored = {x: dict(st.heaps[x].entries()) for x in (a, b)}
-            folded, survivor, nbrs, collisions = st.merge_structural(a, b, None)
+            folded, survivor = st.fold_order(a, b)
+            nbrs = [c for c in st.cut[folded] if c != survivor]
+            assert st.merge_structural(a, b, None) == survivor
             # one pass leaves every touched entry final and the folded heap empty
             assert len(st.heaps[folded]) == 0
-            assert collisions == {c for c in nbrs if c in stored[survivor]}
             for c in nbrs:
                 assert st.heaps[c].get(survivor) == st.cut[c][survivor] / st.size[survivor]
-                if c in collisions:
+                if c in stored[survivor]:  # a joined edge
                     assert st.heaps[survivor].get(c) == st.true_prio(survivor, c)
                 else:
                     assert st.heaps[survivor].get(c) == stored[folded][c]
@@ -336,13 +317,13 @@ def test_refresh_out_edges_fixed_top_ties_to_smaller_id(heap_impl):
     # 0.25 then ties 0's true entry for 1, and the smaller id wins
     g = make_graph(5, [(0, 1, 0.25), (0, 3, 0.5), (3, 4, 1.0)])
     st = _AvgState(g, heap_impl)
-    assert st.merge_structural(3, 4, None)[:2] == (4, 3)
+    assert st.merge_structural(3, 4, None) == 3  # 4 folds into 3
     assert st.heaps[0].best_edge() == (3, 0.5)
     assert refresh_out_edges(st, 0) == 1
     assert dict(st.heaps[0].entries()) == {1: 0.25, 3: 0.25}
 
 
-def _eager_refresh(state, a):
+def _eager_refresh(state, a, audit=None):
     """Oracle for `refresh_out_edges`: rewrite every entry of heap(a) with its
     true priority, then read the top."""
     heap = state.heaps[a]
@@ -367,7 +348,7 @@ UNIT_COMPLETE = [_complete(n) for n in range(2, 13)]
 def test_exact_validation_on_ties(monkeypatch, heap_impl):
     """Validation on extraction must pick the merges an eager refresh of
     every entry picks, bit for bit, on tie-heavy graphs; with checks on, the
-    audit also asserts the out-degree bound on every rewrite. Naive's global
+    audit also checks every returned entry (`_check_best`). Naive's global
     heap orders tied merges differently from the chain driver (11 of the 40
     unit-weight random graphs cluster differently), so it is compared only
     where ties cannot change the clustering: K_n and hub stars."""
@@ -382,9 +363,10 @@ def test_exact_validation_on_ties(monkeypatch, heap_impl):
 
 
 def test_exact_audit_bounds_rewrites_by_outdegree(monkeypatch):
-    """With checks on, `best(t)` asserts that it rewrote at most outdeg(t)
-    entries: stale in-edges, here made by doubling every stored priority of
-    heap(t) before each BestEdge, trip it."""
+    """Validation needs only upper bounds: with every stored priority of
+    heap(t) doubled before each BestEdge, the merges stay exact, the checks
+    after every `best(t)` pass, and `audit.fixes` counts the extra
+    rewrites."""
     real_loop = average._chain_loop
 
     def stale_loop(n, active, degree, best, merge, audit):
@@ -397,20 +379,14 @@ def test_exact_audit_bounds_rewrites_by_outdegree(monkeypatch):
 
         return real_loop(n, active, degree, stale_best, merge, audit)
 
-    monkeypatch.setattr(average, "_chain_loop", stale_loop)
     star = star_graph(40)
-    # upper bounds only: without checks the merges stay exact
-    assert same_clustering(exact_avg_hac(star), naive_avg_hac(star))
-    with pytest.raises(AssertionError, match="rewrote"):
-        exact_avg_hac(star, audit=RunAudit(checks=True))
-
-
-def test_exact_rejects_cap_below_edge_density():
-    # K4: 6 edges on 4 vertices, so some vertex has outdegree >= 2
-    k4 = make_graph(4, [(u, v, 1.0) for u in range(4) for v in range(u + 1, 4)])
-    with pytest.raises(ValueError, match="delta_cap 1"):
-        exact_avg_hac(k4, delta_cap=1)
-    assert same_clustering(exact_avg_hac(k4, delta_cap=2), naive_avg_hac(k4))
+    plain = RunAudit(checks=True)
+    assert same_clustering(exact_avg_hac(star, audit=plain), naive_avg_hac(star))
+    monkeypatch.setattr(average, "_chain_loop", stale_loop)
+    inflated = RunAudit(checks=True)
+    d = exact_avg_hac(star, audit=inflated)
+    assert same_clustering(d, naive_avg_hac(star))
+    assert inflated.fixes > plain.fixes
 
 
 def test_engines_reject_negative_weights():
@@ -449,5 +425,4 @@ def test_exact_orientation_invariant_and_audit(small_graphs):
     for g in small_graphs[:8]:
         audit = RunAudit(checks=True)
         exact_avg_hac(g, audit=audit)
-        assert audit.max_outdegree <= max(8, math.ceil(2 * math.sqrt(2 * g.m)))
         assert audit.stack_pushes <= 2 * g.n - 1

@@ -245,10 +245,11 @@ def test_exit_code_bad_flag_combo(tmp_path):
         ["hac", "--linkage", "wpgma", "--epsilon", "0.2", "--input", str(inp),
          "--output", str(tmp_path / "d.tsv")]
     ) == 2
-    assert run_cli(
-        ["hac", "--linkage", "single", "--delta-cap", "4", "--input", str(inp),
-         "--output", str(tmp_path / "d.tsv")]
-    ) == 2
+    # exact average linkage takes no outdegree cap: the flag is unknown
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["hac", "--linkage", "avg-exact", "--delta-cap", "4", "--input", str(inp),
+                 "--output", str(tmp_path / "d.tsv")])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("linkage", ["avg-exact", "avg-approx"])
@@ -316,20 +317,6 @@ def test_exit_code_repeat_count_below_one(capsys, args, flag):
     captured = capsys.readouterr()
     assert flag in captured.err and "Traceback" not in captured.err
     assert "ok" not in captured.out and "engine" not in captured.out
-
-
-def test_exit_code_delta_cap_below_edge_density(tmp_path, capsys):
-    inp = tmp_path / "k4.wel"
-    inp.write_text("".join(f"{u} {v} 1\n" for u in range(4) for v in range(u + 1, 4)))
-    t0 = time.perf_counter()
-    assert run_cli(
-        ["hac", "--linkage", "avg-exact", "--delta-cap", "1", "--input", str(inp),
-         "--output", str(tmp_path / "d.tsv")]
-    ) == 5
-    assert time.perf_counter() - t0 < 2.0
-    err = capsys.readouterr().err
-    assert "delta_cap 1" in err and "Traceback" not in err
-    assert not (tmp_path / "d.tsv").exists()
 
 
 def test_exit_code_huge_vertex_id(tmp_path, capsys):

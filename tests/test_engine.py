@@ -257,7 +257,8 @@ def test_mirror_and_total_edges_audit(small_graphs):
 
 def test_audit_checks_switch(monkeypatch, small_graphs):
     """RunAudit(checks=True) runs each engine's invariant checks, after every
-    merge or once per run; RunAudit() runs none of them."""
+    merge, after every BestEdge or once per run; RunAudit() runs none of
+    them."""
     calls: Counter = Counter()
 
     def counted(name, fn):
@@ -268,7 +269,8 @@ def test_audit_checks_switch(monkeypatch, small_graphs):
         return wrapper
 
     for owner, name in ((ClusterState, "check_mirror"), (ClusterState, "check_total_edges"),
-                        (average, "_check_in_edges"), (average, "_check_sandwich")):
+                        (average, "_check_best"), (average, "_check_sandwich"),
+                        (average, "refresh_out_edges")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     g = next(g for g in small_graphs if g.n >= 4)
     merges = g.n - 1  # the test graphs are connected
@@ -278,8 +280,10 @@ def test_audit_checks_switch(monkeypatch, small_graphs):
         heap_hac(g, "complete", audit=RunAudit(checks))
         exact_avg_hac(g, audit=RunAudit(checks))
         approx_avg_hac(g, audit=RunAudit(checks))
+        bests = calls.pop("refresh_out_edges")  # exact's BestEdge calls
+        assert bests >= merges
         assert calls == (Counter(check_mirror=2 * merges, check_total_edges=2,
-                                 _check_in_edges=merges, _check_sandwich=merges)
+                                 _check_best=bests, _check_sandwich=merges)
                          if checks else Counter())
 
 

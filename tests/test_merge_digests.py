@@ -1,5 +1,5 @@
 """Pinned merges: one SHA-256 of the dendrogram text per engine config x heap
-x graph family, plus exact average linkage's orientation log at small caps.
+x graph family.
 
 A refactor of an engine's merge step must leave every digest unchanged. The
 stored digests live in `merge_digests.json`; after a change that is meant to
@@ -24,7 +24,7 @@ from test_engine import hub_star, tied_graph
 
 from graphhac import average
 from graphhac.average import _AvgState, approx_avg_hac, exact_avg_hac, naive_avg_hac
-from graphhac.engine import RunAudit, chain_hac, heap_hac
+from graphhac.engine import chain_hac, heap_hac
 from graphhac.graph import build_knn_graph, load_points_csv, make_graph
 from graphhac.heaps import HEAP_IMPLS
 from graphhac.instances import random_connected_graph, random_sparse_graph
@@ -33,11 +33,6 @@ from graphhac.linkage import TRIANGLE_KINDS
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "merge_digests.json"
 IRIS = HERE.parent / "data" / "iris.csv"
-
-# random_connected_graph seeds on which exact's orientation settles at
-# delta_cap = ceil(m/n) + 1 and flips at least once, so on_flip's writes run
-# (at the default cap benchmark-like inputs never flip).
-FLIP_SEEDS = (34, 45, 64, 69, 71, 76, 129, 140, 157, 210, 217, 289, 344, 363, 384, 387, 395)
 
 
 def _forest():
@@ -87,7 +82,6 @@ CASES = {
     for config, heap, run in _configs()
     for fam in FAMILIES
 }
-ORIENT_CASES = [f"exact-smallcap/{heap}" for heap in HEAP_IMPLS]
 
 
 def merge_digest(key: str) -> str:
@@ -98,27 +92,8 @@ def merge_digest(key: str) -> str:
     return h.hexdigest()
 
 
-def orientation_digest(key: str) -> str:
-    """Exact's orientation events, final orientation, flip count and
-    dendrogram at cap ceil(m/n) + 1 over the FLIP_SEEDS graphs."""
-    heap = key.split("/")[1]
-    h = hashlib.sha256()
-    for seed in FLIP_SEEDS:
-        g = random_connected_graph(seed)
-        audit = RunAudit()
-        d = exact_avg_hac(g, -(-g.m // g.n) + 1, heap_impl=heap, audit=audit)
-        assert audit.flip_count > 0, seed
-        h.update(repr(audit.orientation_events).encode())
-        h.update(repr(sorted(audit.final_orientation)).encode())
-        h.update(f"flips {audit.flip_count}\n".encode())
-        h.update(d.format_text().encode())
-    return h.hexdigest()
-
-
 def compute_all() -> dict[str, str]:
-    out = {key: merge_digest(key) for key in CASES}
-    out.update({key: orientation_digest(key) for key in ORIENT_CASES})
-    return out
+    return {key: merge_digest(key) for key in CASES}
 
 
 @functools.cache
@@ -127,17 +102,12 @@ def stored() -> dict[str, str]:
 
 
 def test_digest_keys_cover_every_case():
-    assert set(stored()) == set(CASES) | set(ORIENT_CASES)
+    assert set(stored()) == set(CASES)
 
 
 @pytest.mark.parametrize("key", sorted(CASES))
 def test_merges_match_digest(key):
     assert merge_digest(key) == stored()[key], key
-
-
-@pytest.mark.parametrize("key", ORIENT_CASES)
-def test_orientation_log_matches_digest(key):
-    assert orientation_digest(key) == stored()[key], key
 
 
 @pytest.mark.parametrize("fam", ["random", "tied"])
@@ -190,4 +160,4 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_merge_digests.py --write")
     DIGESTS.write_text(json.dumps(compute_all(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(CASES) + len(ORIENT_CASES)} digests to {DIGESTS}")
+    print(f"wrote {len(CASES)} digests to {DIGESTS}")
