@@ -384,8 +384,7 @@ def test_exact_audit_bounds_rewrites_by_outdegree(monkeypatch):
     assert same_clustering(exact_avg_hac(star, audit=plain), naive_avg_hac(star))
     monkeypatch.setattr(average, "_chain_loop", stale_loop)
     inflated = RunAudit(checks=True)
-    d = exact_avg_hac(star, audit=inflated)
-    assert same_clustering(d, naive_avg_hac(star))
+    assert same_clustering(exact_avg_hac(star, audit=inflated), naive_avg_hac(star))
     assert inflated.fixes > plain.fixes
 
 
