@@ -7,7 +7,7 @@ heap tops on extraction, and an epsilon-close approximate average-linkage
 engine, plus a brute-force k-NN graph pipeline and ARI/NMI evaluation.
 """
 
-from .average import approx_avg_hac, delta_from_epsilon, exact_avg_hac, naive_avg_hac
+from .average import approx_avg_hac, exact_avg_hac, naive_avg_hac
 from .dendrogram import Dendrogram, Merge, load_dendrogram, parse_dendrogram, same_clustering
 from .engine import RunAudit, chain_hac, heap_hac, merge_cost_bound, merge_cost_total
 from .evaluation import ari, best_level_scores, closeness_audit, cut_dendrogram, nmi
@@ -61,7 +61,6 @@ __all__ = [
     "closeness_audit",
     "cut_dendrogram",
     "degree_log_reweight",
-    "delta_from_epsilon",
     "exact_avg_hac",
     "heap_hac",
     "load_dendrogram",

@@ -9,10 +9,11 @@ function of current sizes. Neighbor-heap priorities store cut/|B| for the
 entry of B in heap(A); the owner's 1/|A| factor is applied only when a
 weight is extracted, which keeps an owner's own growth from invalidating
 its stored priorities. Since sizes enter the weight, two old priorities do
-not combine into a merged one, so no merge unions heaps: a merge either
-moves the folded cluster's entries one by one (`_AvgState.merge_structural`)
-or, when approx rebuilds the survivor right after, folds only the cut rows
-and lets the rebuild build the survivor's heap once (`_AvgState.fold_rows`).
+not combine into a merged one, so no merge unions heaps: a merge moves the
+folded cluster's entries one by one (`_AvgState.merge_structural` for
+exact, `_AvgState.merge_owned` for approx). Both heap engines validate a
+heap top when they extract it: every stored priority bounds its true one
+from above, and a top that is too far above it is rewritten.
 
 * naive_avg_hac: the eager baseline. After every merge it recomputes the
   weight of every edge incident to the merged cluster and requeues it; the
@@ -24,41 +25,35 @@ and lets the rebuild build the survivor's heap once (`_AvgState.fold_rows`).
   (`test_exact_validation_on_ties`).
 * exact_avg_hac: the chain loop shared with `chain_hac`
   (`engine._chain_loop`) with validation on extraction and nothing else.
-  A merge writes true values where it changes a cut sum and carries upper
-  bounds everywhere else; the loop's `best` callback rewrites stale tops
-  until the top is true. This departs from the paper, which keeps a
-  low-outdegree edge orientation so that a cluster's stale entries are its
-  few out-edges: a charging argument over the pairs that ever share a heap
-  entry already bounds the rewrites by O(n sqrt(m log m)) (see
-  `exact_avg_hac`), the same near n sqrt(m) cost without the orientation's
-  flips and its per-merge upkeep.
+  Both ends of every edge have an entry. A merge writes true values where
+  it changes a cut sum and carries upper bounds everywhere else; the loop's
+  `best` callback rewrites stale tops until the top is true. This departs
+  from the paper, which keeps a low-outdegree edge orientation so that a
+  cluster's stale entries are its few out-edges: a charging argument over
+  the pairs that ever share a heap entry already bounds the rewrites by
+  O(n sqrt(m log m)) (see `exact_avg_hac`), the same near n sqrt(m) cost
+  without the orientation's flips and its per-merge upkeep.
 * approx_avg_hac: the global-heap loop shared with `heap_hac`
-  (`engine._global_heap_loop`) with per-cluster staleness snapshots. A
-  cluster whose size outgrows its snapshot by the internal factor (1+delta)
-  rebuilds all incident edges. A balanced merge that rebuilds its survivor
-  folds only the rows, and the rebuild writes each entry once
-  (`rebuild_cluster`); any other merge writes true values for the edges it
-  joins and carries the folded side's stored upper bounds over for the
-  rest. Yields an epsilon-close run with delta = sqrt(1/(1-epsilon)) - 1.
+  (`engine._global_heap_loop`) with one entry per edge, held by its owner,
+  and validation on extraction that accepts a top within a factor
+  1-epsilon of its true value. A merge moves the folded side's own entries
+  to the survivor, writes joined edges true at the survivor and relabels
+  each neighbor's entry for the folded side at its true value, so no key
+  but the survivor's rises. Each entry is fixed at most 1 +
+  log_{1/(1-epsilon)} n times, so the run is O~(m / epsilon). This departs
+  from the paper's rebuild-based epsilon-close algorithm (see
+  `approx_avg_hac`).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 
 from .dendrogram import Dendrogram, DendrogramBuilder
 from .engine import HeapState, RunAudit, _chain_loop, _global_heap_loop
 from .graph import WeightedGraph
 from .heaps import new_heap
 from .linkage import AVG_APPROX, AVG_EXACT, check_weights
-
-
-def delta_from_epsilon(epsilon: float) -> float:
-    """Internal staleness factor: (1+delta)^-2 == 1-epsilon."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return math.sqrt(1.0 / (1.0 - epsilon)) - 1.0
 
 
 def naive_avg_hac(graph: WeightedGraph, audit: RunAudit | None = None) -> Dendrogram:
@@ -111,20 +106,35 @@ class _AvgState(HeapState):
     """Shared live state for the heap-backed average engines. The initial
     heap priority of each edge is its weight, since cut/|nbr| = w at size 1.
     `cut[a][b]` is the raw cut sum of live edge (a, b), mirrored in
-    `cut[b][a]`; a folded cluster's row is empty."""
+    `cut[b][a]`; a folded cluster's row is empty. With `owned` each edge has
+    one heap entry, at its owner: the endpoint of higher degree, ties going
+    to the smaller id. Without it both endpoints' heaps hold the edge.
+    Degrees are row lengths, which heap sizes match only without `owned`."""
 
-    def __init__(self, graph: WeightedGraph, heap_impl: str):
+    def __init__(self, graph: WeightedGraph, heap_impl: str, owned: bool = False):
         self.cut: list[dict[int, float]] = graph.adjacency()
-        super().__init__(self.cut, heap_impl)
+        rows = self.cut
+        if owned:
+            deg = [len(row) for row in rows]
+            rows = [{} for _ in rows]
+            for u, v, w in graph.edges:  # u < v, so a tie goes to u
+                if deg[v] > deg[u]:
+                    rows[v][u] = w
+                else:
+                    rows[u][v] = w
+        super().__init__(rows, heap_impl)
 
-    def true_weight(self, a: int, b: int) -> float:
-        return self.cut[a][b] / (self.size[a] * self.size[b])
+    def degree(self, c: int) -> int:
+        return len(self.cut[c])
+
+    def fold_order(self, a: int, b: int) -> tuple[int, int]:
+        cut = self.cut
+        if (len(cut[a]), a) < (len(cut[b]), b):
+            return a, b
+        return b, a
 
     def true_prio(self, owner: int, nbr: int) -> float:
         return self.cut[owner][nbr] / self.size[nbr]
-
-    def stored_weight(self, owner: int, nbr: int) -> float:
-        return self.heaps[owner].get(nbr) / self.size[owner]
 
     def _start_merge(self, a: int, b: int, audit: RunAudit | None) -> tuple[int, int]:
         """The part of a merge of a and b that both folds share: pick the
@@ -171,23 +181,47 @@ class _AvgState(HeapState):
         heaps[folded] = type(heap_f)()
         return survivor
 
-    def fold_rows(self, a: int, b: int, audit: RunAudit | None) -> int:
-        """Fold one side of {a, b} into the other for a merge whose survivor
-        is rebuilt right after: only the cut rows are folded, and each
-        ex-neighbor's heap loses its folded entry. Both merged heaps are left
-        empty, so `rebuild_cluster` builds the survivor's once from its row
-        and writes each neighbor's entry for it once. Returns the survivor."""
+    def merge_owned(self, a: int, b: int, audit: RunAudit | None) -> int:
+        """`merge_structural` for a state built with `owned`: fold one side
+        of {a, b} into the other and keep one entry per live edge. For each
+        neighbor c of the folded cluster f, with survivor s:
+        - a joined edge (c also next to s) loses both old entries, wherever
+          they are, and s takes its true priority;
+        - an edge that f owned moves to s with f's stored bound, since its
+          cut sum and its other end are unchanged;
+        - an edge that c owned stays with c, relabelled from f to s at the
+          true priority cs/|s|, which is at most cs/|f| and so at most the
+          bound it replaces.
+        So a cluster other than s only loses entries or sees one fall. The
+        folded heap is left empty. Returns the survivor."""
         folded, survivor = self._start_merge(a, b, audit)
-        heaps, cut = self.heaps, self.cut
+        heaps, cut, size = self.heaps, self.cut, self.size
         row_f, row_s = cut[folded], cut[survivor]
+        heap_f, heap_s = heaps[folded], heaps[survivor]
+        new_size = size[survivor]
+        get_f, get_s, insert_s = heap_f.get, heap_s.get, heap_s.insert
+        if get_s(folded) is not None:
+            heap_s.delete(folded)
         for c, cs in row_f.items():
             row_c = cut[c]
             del row_c[folded]
-            heaps[c].delete(folded)
-            row_s[c] = row_c[survivor] = cs + row_s.get(c, 0.0)
+            heap_c = heaps[c]
+            mine = get_f(c)
+            if mine is None:
+                heap_c.delete(folded)
+            cs_s = row_s.get(c)
+            if cs_s is not None:  # joined
+                cs += cs_s
+                if get_s(c) is None:
+                    heap_c.delete(survivor)
+                heap_s.upsert(c, cs / size[c])
+            elif mine is not None:
+                insert_s(c, mine)
+            else:
+                heap_c.insert(survivor, cs / new_size)
+            row_s[c] = row_c[survivor] = cs
         row_f.clear()
-        empty = type(heaps[folded])
-        heaps[folded], heaps[survivor] = empty(), empty()
+        heaps[folded] = type(heap_f)()
         return survivor
 
 
@@ -210,29 +244,20 @@ def refresh_out_edges(state: _AvgState, a: int, audit: RunAudit | None = None) -
             audit.fixes += 1
 
 
-def rebuild_cluster(
-    state: _AvgState,
-    stale_base: list[float],
-    x: int,
-    audit: RunAudit | None = None,
-) -> None:
+def rebuild_cluster(state: _AvgState, stale_base: list[float], x: int) -> None:
     """Write the true similarity of every edge incident to x into both
-    endpoint heaps and reset x's staleness snapshot to its current size.
+    endpoint heaps of a state built without `owned`, and set x's entry of
+    `stale_base` to its current size. An emptied heap(x) is built from x's
+    row; otherwise the walk updates both ends of each edge in place.
 
-    x's heap arrives in one of two states, set by the merge that grew x.
-    After a balanced merge, where 2 deg(folded) >= deg(survivor),
-    `_AvgState.fold_rows` left it empty: it is built once from x's row with
-    true priorities, and each neighbor's entry for x is upserted once. After
-    any other merge `_AvgState.merge_structural` left it keyed like x's row,
-    and the walk over x's row updates both ends of each edge in place. On a
-    star's hub merges the folded row is empty and the hub's entries are
-    already true; a heap answers a write of the priority it already stores
-    with one table lookup, so the walk costs one lookup per hub entry where
-    a fresh build would rebuild the whole heap."""
+    No engine calls this since approximate average linkage validates its
+    heap tops on extraction instead of rebuilding. It stays because the
+    benchmark's tracer (`hacbench/tracing.py`) wraps it by name when it
+    installs, and would fail without it."""
     heaps, size, row = state.heaps, state.size, state.cut[x]
     xsz = size[x]
     heap = heaps[x]
-    if len(heap) < len(row):  # emptied by fold_rows
+    if len(heap) < len(row):  # emptied
         heaps[x] = new_heap(state.heap_impl, [(c, cs / size[c]) for c, cs in row.items()])
         for c, cs in row.items():
             heaps[c].upsert(x, cs / xsz)
@@ -241,8 +266,6 @@ def rebuild_cluster(
             heap.update(c, cs / size[c])
             heaps[c].update(x, cs / xsz)
     stale_base[x] = float(xsz)
-    if audit is not None:
-        audit.rebuild_counts[x] = audit.rebuild_counts.get(x, 0) + 1
 
 
 def exact_avg_hac(
@@ -310,17 +333,26 @@ def _check_best(st: _AvgState, t: int, b: int) -> None:
     assert stored == true, f"best({t}) returned {b} at {stored}, true {true}"
 
 
-def _check_sandwich(st: _AvgState, delta: float) -> None:
-    """Stored weights bound true weights: (1+delta)^-2 * stored <= true <= stored."""
-    lo = (1.0 + delta) ** -2
-    for owner, row in enumerate(st.cut):
-        for nbr in row:
-            stored = st.stored_weight(owner, nbr)
-            true = st.true_weight(owner, nbr)
-            assert true <= stored * (1.0 + 1e-9), f"stored too small: {stored} < {true}"
-            assert lo * stored <= true * (1.0 + 1e-9), (
-                f"stored too stale: {stored} vs true {true} (factor {stored / true})"
-            )
+def _check_owned(st: _AvgState, keep: float, p: float, true: float) -> None:
+    """After an approximate merge whose edge had stored priority p and true
+    priority `true` at its owner: the merge was (1-epsilon)-close,
+    keep * p <= true with keep = 1 - epsilon, and every live edge has exactly
+    one heap entry, at one of its ends, that is at least its true priority.
+    `best` accepts a top only when keep * p <= true, every write stores a
+    true value and a true value only falls, so all three hold bit for bit."""
+    assert keep * p <= true, f"merged edge stored at {p}, true {true}: not (1-eps)-close"
+    heaps = st.heaps
+    entries = 0
+    for a, row in enumerate(st.cut):
+        entries += len(heaps[a])
+        for b in row:
+            pa, pb = heaps[a].get(b), heaps[b].get(a)
+            assert (pa is None) != (pb is None), f"edge ({a},{b}) has {2 - (pa is None) - (pb is None)} entries"
+            if pa is not None:
+                t = st.true_prio(a, b)
+                assert pa >= t, f"heap({a}) entry {b} below its true priority: {pa} < {t}"
+    live = sum(len(row) for row in st.cut) // 2
+    assert entries == live, f"{entries} heap entries for {live} live edges"
 
 
 def approx_avg_hac(
@@ -331,51 +363,80 @@ def approx_avg_hac(
     audit: RunAudit | None = None,
 ) -> Dendrogram:
     """Heap-driver UPGMA that is epsilon-close: every merge's true similarity
-    is at least (1-epsilon) times the true current maximum. A cluster's
-    global-heap weight is its best stored priority over its own size, and
-    each cluster has at most one copy of that entry queued: stored
-    priorities of clusters other than a merge's survivor only fall, so the
-    shared loop's skip of repeated keys keeps the merges unchanged (see
-    `engine._global_heap_loop`). A rebuild of x lowers the key of every
-    neighbor whose best edge was x; `rebuilt` hands the loop x's row after
-    one, so when those keys make up at least half the global heap the loop
-    re-keys them and heapifies once instead of popping each one.
+    is at least (1-epsilon) times the true current maximum.
 
-    A merge rebuilds its survivor when the merged size reaches (1+delta)
-    times the survivor's snapshot, which is known before the merge and at
-    epsilon = 0.1 holds for nearly every merge on sparse graphs. If it is
-    also balanced, 2 deg(folded) >= deg(survivor), only the cut rows are
-    folded and the rebuild builds the survivor's heap once. A star's hub
-    merges are not balanced and keep the moves and the in-place walk, since
-    the hub's entries are already true (`rebuild_cluster`)."""
-    delta = delta_from_epsilon(epsilon)
+    Each live edge has one heap entry, held by its owner (`_AvgState` with
+    `owned`), whose priority is at least cut/|other end|. A cluster's
+    global-heap key is its best owned priority over its own size; a cluster
+    that owns nothing has no key. `best(u)` validates the top of heap(u) on
+    extraction: while its stored p has (1-epsilon) p > cut/|c|, it writes
+    the true value and reads the top again, and it returns the key built
+    from the accepted stored p. That key bounds every true weight of u's
+    edges from above, each live edge is some cluster's, and the accepted
+    edge's true weight is at least (1-epsilon) times it; so the merge is
+    epsilon-close. A merge is `_AvgState.merge_owned`, under which a
+    cluster other than the survivor only loses entries or sees one fall,
+    and a fix only lowers its own cluster's key. So no key other than the
+    survivor's rises, bit for bit, which the shared loop's skip of repeated
+    keys needs (see `engine._global_heap_loop`). Nothing is rebuilt.
+
+    Bound on the rewrites ("fixes"). An entry is created with a true value:
+    the m initial entries, and per merge at most one joined write or
+    relabel per folded neighbor, so at most m + sum deg(folded) entries,
+    fewer than 2m + 2 sum deg(folded). A moved bound is the same entry. A
+    fix writes the true value, and the next fix of that entry needs its
+    true value to fall below (1-epsilon) times it, that is its other end to
+    grow by more than 1/(1-epsilon), since the cut sum of an entry that is
+    not rewritten does not change. Sizes stay within n, so one entry is
+    fixed at most 1 + log_{1/(1-epsilon)} n times in its life, and
+
+        fixes <= (2m + 2 sum deg(folded)) (1 + log_{1/(1-epsilon)} n),
+
+    O(m log m / epsilon) under `engine.merge_cost_bound`. Each fix is an
+    O(log n) heap write, and each global-heap pop either merges or follows
+    a merge or a fix that lowered the popped key, so the run takes
+    O~(m / epsilon) time, the paper's O~(m) at fixed epsilon.
+
+    This departs from the paper's epsilon-close algorithm, which keeps
+    both ends of every edge in heaps and rebuilds a cluster's edges each
+    time the cluster grows by a 1+delta factor. With two entries per edge a
+    cluster's growth stales entries in all its neighbors' heaps, and the
+    rebuilds that repair them walk hub rows again and again; one owned
+    entry per edge, validated when it is read, keeps the same closeness
+    with no rebuild and no second entry to repair.
+
+    `audit.fixes` counts the rewrites; with checks on, each merge is
+    followed by `_check_owned`."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     check_weights(AVG_APPROX, graph.edges)
-    st = _AvgState(graph, heap_impl)
-    stale_base = [1.0] * graph.n  # size at the last full rebuild
+    st = _AvgState(graph, heap_impl, owned=True)
+    heaps, cut, size = st.heaps, st.cut, st.size
+    keep = 1.0 - epsilon
+    checks = audit is not None and audit.checks
 
     def best(u: int) -> tuple[float, int, int] | None:
+        heap, row = heaps[u], cut[u]
         try:
-            nbr, p = st.heaps[u].best_edge()
-        except KeyError:  # no edges left
+            c, p = heap.best_edge()
+        except KeyError:  # u owns no edge
             return None
-        return -(p / st.size[u]), u, nbr
+        true = row[c] / size[c]
+        while p * keep > true:
+            heap.update(c, true)
+            if audit is not None:
+                audit.fixes += 1
+            c, p = heap.best_edge()
+            true = row[c] / size[c]
+        return -(p / size[u]), u, c
 
     def merge(u: int, v: int) -> int:
-        folded, survivor = st.fold_order(u, v)
-        rebuilds = st.size[u] + st.size[v] >= (1.0 + delta) * stale_base[survivor]
-        if rebuilds and 2 * st.degree(folded) >= st.degree(survivor):
-            st.fold_rows(u, v, audit)
-        else:
-            st.merge_structural(u, v, audit)
-        if rebuilds:
-            rebuild_cluster(st, stale_base, survivor, audit)
-        if audit is not None and audit.checks:
-            _check_sandwich(st, delta)
+        if not checks:
+            return st.merge_owned(u, v, audit)
+        p, true = heaps[u].get(v), st.true_prio(u, v)
+        survivor = st.merge_owned(u, v, audit)
+        _check_owned(st, keep, p, true)
         return survivor
 
-    def rebuilt(x: int) -> dict[int, float] | None:
-        # a rebuild snapshots the size; a merge without one grows x past it
-        return st.cut[x] if stale_base[x] == st.size[x] else None
-
-    _global_heap_loop(graph.n, st.active, best, merge, rebuilt)
+    _global_heap_loop(graph.n, st.active, best, merge)
     return st.finish()

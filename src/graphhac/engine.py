@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import islice
-from typing import Callable, Collection
+from typing import Callable
 
 from .dendrogram import Dendrogram, DendrogramBuilder
 from .graph import WeightedGraph
@@ -32,18 +31,18 @@ from .linkage import LinkageError, check_weights, combine_fn, is_triangle_based
 
 class RunAudit:
     """Opt-in instrumentation collected during a clustering run: merge
-    degrees, chain stack pushes, approximate rebuilds and exact average
-    linkage's `fixes`, the heap entries its validation rewrote. `checks`
-    also runs each engine's invariant checks: heap mirror and total edges
-    for the triangle linkages, a true best entry over upper bounds after
-    every BestEdge for exact average linkage, the stored-vs-true sandwich
-    for approximate average linkage."""
+    degrees, chain stack pushes and the average engines' `fixes`, the heap
+    entries their validation on extraction rewrote. `checks` also runs each
+    engine's invariant checks: heap mirror and total edges for the triangle
+    linkages, a true best entry over upper bounds after every BestEdge for
+    exact average linkage, and after every merge of approximate average
+    linkage one upper-bound entry per live edge and a (1-epsilon)-close
+    merged edge."""
 
     def __init__(self, checks: bool = False):
         self.checks = checks
         self.merge_degrees: list[tuple[int, int]] = []
         self.stack_pushes = 0
-        self.rebuild_counts: dict[int, int] = {}
         self.fixes = 0
 
 
@@ -229,18 +228,15 @@ def _global_heap_loop(
     active: list[bool],
     best: Callable[[int], tuple[float, int, int] | None],
     merge: Callable[[int, int], int],
-    rebuilt: Callable[[int], Collection[int] | None] | None = None,
 ) -> None:
     """Lazy global-heap driver: repeatedly merge the best cluster pair.
 
     `best(u)` returns the heap key `(-w, u, nbr)` of u's current best edge
-    (weight w to neighbor nbr), or None when u has no edges left;
+    (weight w to neighbor nbr), or None when u's heap is empty;
     `merge(u, v)` merges u and v and returns the survivor. A popped key
     of an active u that equals `best(u)` merges u and nbr, then queues the
     survivor's best key; any other popped key of an active u is stale and
-    queues `best(u)` instead. The optional `rebuilt(x)` returns the ids of
-    the survivor x's neighbors when the merge rewrote every edge of x with
-    its true value, else None.
+    queues `best(u)` instead.
 
     One queued entry per cluster: `queued[u]` is an entry of u known to be
     in the heap. It is set on push and cleared when that entry pops, and a
@@ -248,20 +244,9 @@ def _global_heap_loop(
     of u re-pushes a copy of u's best key, and on a tied star the hub's
     copies cost hub x (n - hub) pops.
 
-    Bulk re-key after a rebuild. A rebuild of x lowers the key of every
-    neighbor c whose best edge was x, so each such queued key would cost a
-    pop and a `best` call. When `2 deg(x) >= len(heap)` (O(1) to test), the
-    loop collects the neighbors c whose `queued[c]` names x, and stops as
-    soon as the rest of x's row could no longer make them half the heap. If
-    they are at least half the heap, it rebuilds the heap from every other
-    active cluster's `queued` entry, a fresh `best(c)` for each of them and
-    the survivor's `best`, and heapifies it once. The O(len(heap)) cost is at
-    most O(deg x), which the rebuild has already paid, and on a hub star
-    the pops fall from about n log_{1+delta} n to O(n).
-
     Why the skip cannot change the merge sequence. Say u is *covered* when
     the heap holds an entry of u whose weight is at least u's current best
-    weight. Every active cluster with an edge stays covered: a survivor
+    weight. Every active cluster with a best key stays covered: a survivor
     queues its best key, every pop of a live cluster's entry queues its best
     key again, and any other cluster's best weight can only fall (below).
     While all are covered, a popped key that equals its cluster's best key
@@ -271,23 +256,17 @@ def _global_heap_loop(
     and its best neighbor, a function of the clustering state alone,
     however many copies of a key the heap holds. A skipped push would only
     have added a copy of a key that is already in the heap and already
-    covers u. A re-key keeps every cluster covered too: a kept `queued`
-    entry still covers its cluster, since it equalled that cluster's best
-    key when pushed and the cluster has not been a survivor since (a
-    survivor is queued again), and a fresh entry is exact. Entries it drops
-    are stale copies and entries of inactive clusters, which never merge.
+    covers u.
 
     Why a cluster that is not a survivor never sees its best weight rise:
-    a neighbor c of a merge changes only its entry for the merged pair. For
-    single, complete and WPGMA the new weight is the max, min or mean of two
-    of c's own weights, so it is no more than c's best. For approximate
-    average linkage the new priority is the mediant cut/size of the two true
-    priorities, true priorities never exceed the stored ones, and rebuilds
-    write true values, which never exceed the stored upper bounds. So a
-    rebuild of x lowers only entries for x, and of the queued keys only
-    those naming x go stale. In floating point the mediant is rounded and
-    may pass a stored value by an ulp; the tree/meld and reference
-    equivalence tests cover those runs.
+    for single, complete and WPGMA a neighbor c of a merge changes only its
+    entry for the merged pair, and the new weight is the max, min or mean
+    of two of c's own weights, so it is no more than c's best. Under
+    approximate average linkage c only loses entries or has its entry for
+    the folded side f relabelled to the survivor s at cs/(|f|+|s|) <=
+    cs/|f|, which is at most the stored value it replaces, and a validation
+    fix in `best(c)` only lowers an entry of c. Floating-point division is
+    monotone, so these hold bit for bit.
     """
     queued: list[tuple[float, int, int] | None] = [None] * n
     heap = [e for e in map(best, range(n)) if e is not None]
@@ -304,29 +283,6 @@ def _global_heap_loop(
         e = best(u)
         if e == item:  # u's heap holds only active clusters, so nbr is active
             u = merge(u, item[2])
-            row = None if rebuilt is None else rebuilt(u)
-            if row is not None and 2 * len(row) >= len(heap):
-                # collect the stale keys in chunks one longer than the misses
-                # the row can still spare, so the scan stops once the rest of
-                # the row can no longer make them half the heap
-                need = (len(heap) + 1) // 2
-                stale, rest, left = [], iter(row), len(row)
-                while left > 0 and len(stale) + left >= need:
-                    take = len(stale) + left - need + 1
-                    stale += [c for c in islice(rest, take)
-                              if (q := queued[c]) is not None and q[2] == u]
-                    left -= take
-                if len(stale) >= need:
-                    stale.append(u)
-                    for c in stale:
-                        queued[c] = None
-                    heap = [e for e in heap if queued[e[1]] is e and active[e[1]]]
-                    for c in stale:
-                        queued[c] = e = best(c)
-                        if e is not None:
-                            heap.append(e)
-                    heapq.heapify(heap)
-                    continue
             e = best(u)
         if e is not None and e != queued[u]:
             queued[u] = e

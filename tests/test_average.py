@@ -2,24 +2,25 @@ import math
 from collections import defaultdict
 
 import pytest
+from test_acceptance import C1_SEED
 from test_engine import HUB_STARS, TIED_GRAPHS
 
 from graphhac import average
 from graphhac.average import (
     _AvgState,
     _check_best,
+    _check_owned,
     approx_avg_hac,
-    delta_from_epsilon,
     exact_avg_hac,
     naive_avg_hac,
     rebuild_cluster,
     refresh_out_edges,
 )
 from graphhac.dendrogram import Merge, same_clustering
-from graphhac.engine import RunAudit
+from graphhac.engine import RunAudit, merge_cost_total
 from graphhac.evaluation import closeness_audit
 from graphhac.graph import make_graph
-from graphhac.instances import random_connected_graph, star_graph
+from graphhac.instances import random_connected_graph, random_sparse_graph, star_graph
 from graphhac.linkage import WEIGHT_BOUND
 from graphhac.reference import reference_hac
 
@@ -93,14 +94,6 @@ def test_exact_shared_neighbor_collapses_to_single_edge():
     assert d.merges[1].weight == pytest.approx((0.5 + 0.3) / 2)
 
 
-def test_delta_from_epsilon():
-    assert delta_from_epsilon(0.19) == pytest.approx(1 / 9, rel=1e-12)
-    assert delta_from_epsilon(0.1) == pytest.approx(math.sqrt(1 / 0.9) - 1, rel=1e-15)
-    for bad in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            delta_from_epsilon(bad)
-
-
 @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 0.9])
 def test_approx_triangle_distinct_weights_matches_naive(eps):
     g = make_graph(3, [(0, 1, 1.0), (1, 2, 0.5), (0, 2, 0.8)])
@@ -108,17 +101,40 @@ def test_approx_triangle_distinct_weights_matches_naive(eps):
 
 
 def test_approx_epsilon_validation():
-    for bad in (0.0, 1.0, 2.0):
+    for bad in (0.0, 1.0, 2.0, -0.5, math.nan):
         with pytest.raises(ValueError):
             approx_avg_hac(STAR5, bad)
 
 
 def test_approx_star_weights_within_staleness_factor():
-    delta = delta_from_epsilon(0.1)
-    got = sorted(merge_weights(approx_avg_hac(STAR5, 0.1)), reverse=True)
+    # a merge is (1-eps)-close to the true maximum, which is no more than
+    # the exact run's weight at that step
     want = [1.0, 1 / 2, 1 / 3, 1 / 4]
-    for g_w, w in zip(got, want):
-        assert w / (1 + delta) ** 2 - 1e-12 <= g_w <= w * (1 + delta) ** 2 + 1e-12
+    for eps in (0.1, 0.5):
+        got = sorted(merge_weights(approx_avg_hac(STAR5, eps)), reverse=True)
+        for g_w, w in zip(got, want):
+            assert (1 - eps) * w - 1e-12 <= g_w <= w + 1e-12
+
+
+def test_approx_fix_bound():
+    """Validation on extraction rewrites at most (2m + 2 * merge_cost_total)
+    * (1 + log_{1/(1-eps)} n) heap entries: each entry is created true, at
+    most 2m + 2 sum deg(folded) are created, and one is fixed at most 1 +
+    log_{1/(1-eps)} n times (the argument is in `approx_avg_hac`'s
+    docstring)."""
+    graphs = [random_connected_graph(C1_SEED + t, max_n=64, max_m=256) for t in range(100)]
+    graphs += [*HUB_STARS, star_graph(10**4), random_sparse_graph(3, 300)]
+    worst = 0.0
+    for eps in (0.1, 0.5):
+        for heap_impl in ("tree", "meld"):
+            for g in graphs:
+                audit = RunAudit()
+                approx_avg_hac(g, eps, heap_impl=heap_impl, audit=audit)
+                entries = 2 * g.m + 2 * merge_cost_total(audit.merge_degrees)
+                bound = entries * (1 + math.log(g.n) / -math.log1p(-eps))
+                assert audit.fixes <= bound, (eps, heap_impl, g.n, g.m, audit.fixes, bound)
+                worst = max(worst, audit.fixes / bound)
+    assert worst > 0  # the families do make fixes
 
 
 def test_approx_meld_equals_tree(small_graphs):
@@ -206,79 +222,89 @@ def test_cut_maps_mirror_contraction(heap_impl):
 
 
 def test_approx_sandwich_invariant():
+    # after every merge: one entry per live edge, each at least its true
+    # priority, and the merged edge (1-eps)-close to its stored key
     for t in range(12):
         g = random_connected_graph(6000 + t, max_n=48)
         approx_avg_hac(g, 0.1, audit=RunAudit(checks=True))
-    # a coarser epsilon loosens delta but the sandwich must still hold
+    for g in [*TIED_GRAPHS[:20], *HUB_STARS[:22]]:
+        approx_avg_hac(g, 0.5, heap_impl="meld", audit=RunAudit(checks=True))
     g = random_connected_graph(123, max_n=48)
     approx_avg_hac(g, 0.6, audit=RunAudit(checks=True))
 
 
-def test_rebuild_counter_bound(small_graphs):
-    delta = delta_from_epsilon(0.1)
-    for g in small_graphs[:10]:
-        audit = RunAudit()
-        approx_avg_hac(g, 0.1, audit=audit)
-        bound = math.ceil(math.log(g.n) / math.log(1.0 + delta))
-        assert all(k <= bound for k in audit.rebuild_counts.values())
+def test_check_owned_is_bitwise():
+    # every write stores true_prio itself, so an owned entry one ulp below it
+    # is caught, as is a second entry for an edge at its other end
+    g = random_connected_graph(5000, max_n=48)
+    st = _AvgState(g, "tree", owned=True)
+    _check_owned(st, 0.9, 1.0, 1.0)
+    a = next(a for a in range(g.n) if len(st.heaps[a]))
+    c, p = st.heaps[a].best_edge()
+    assert p == st.true_prio(a, c)
+    st.heaps[a].update(c, math.nextafter(p, 0.0))
+    with pytest.raises(AssertionError, match="below its true priority"):
+        _check_owned(st, 0.9, 1.0, 1.0)
+    st.heaps[a].update(c, p)
+    _check_owned(st, 0.9, 1.0, 1.0)
+    st.heaps[c].insert(a, st.true_prio(c, a))
+    with pytest.raises(AssertionError, match="has 2 entries"):
+        _check_owned(st, 0.9, 1.0, 1.0)
+    st.heaps[c].delete(a)
+    with pytest.raises(AssertionError, match="not \\(1-eps\\)-close"):
+        _check_owned(st, 0.9, 1.0, math.nextafter(0.9, 0.0))
+
+
+def test_approx_owner_is_higher_degree_endpoint():
+    # hub 0 owns its star, the tie between degree-2 vertices 3 and 4 goes to
+    # the smaller id, and leaf 5 owns nothing
+    g = make_graph(6, [(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5), (3, 4, 0.25), (4, 5, 0.75)])
+    for heap_impl in ("tree", "meld"):
+        st = _AvgState(g, heap_impl, owned=True)
+        assert [sorted(h.keys()) for h in st.heaps] == [[1, 2, 3], [], [], [4], [5], []]
+        assert [st.degree(c) for c in range(6)] == [3, 1, 1, 2, 2, 1]
+
+
+@pytest.mark.parametrize("heap_impl", ["tree", "meld"])
+def test_merge_owned_branches(heap_impl):
+    # 1 folds into 0. Edge (1, 2) is joined by (0, 2), and 2 owns both; 1
+    # owns (1, 3); 4 owns (1, 4). Vertices 5-13 only set the degrees.
+    g = make_graph(14, [(0, 1, 1.0), (0, 2, 0.5), (0, 5, 0.1), (0, 6, 0.1), (0, 7, 0.1),
+                        (1, 2, 0.3), (1, 3, 0.4), (1, 4, 0.2),
+                        *[(2, c, 0.1) for c in (10, 11, 12, 13)],
+                        *[(4, c, 0.1) for c in (5, 6, 8, 9)]])
+    st = _AvgState(g, heap_impl, owned=True)
+    assert sorted(st.heaps[1].keys()) == [3]
+    assert sorted(st.heaps[2].keys()) == [0, 1, 10, 11, 12, 13]
+    st.heaps[1].update(3, 0.625)  # a stale bound moves unchanged
+    assert st.merge_owned(0, 1, None) == 0
+    assert len(st.heaps[1]) == 0 and not st.cut[1]
+    assert dict(st.heaps[0].entries()) == {2: 0.8, 3: 0.625, 5: 0.1, 6: 0.1, 7: 0.1}
+    assert sorted(st.heaps[2].keys()) == [10, 11, 12, 13]
+    assert dict(st.heaps[4].entries()) == {0: 0.2 / 2, 5: 0.1, 6: 0.1, 8: 0.1, 9: 0.1}
+    _check_owned(st, 1.0, 1.0, 1.0)
 
 
 def test_rebuild_cluster_direct():
     g = make_graph(4, [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.25)])
-    # both heaps, after a merge that moves entries and after one that folds
-    # only the rows and leaves the survivor's heap for the rebuild to build
     for heap_impl in ("tree", "meld"):
-        for fold in ("merge_structural", "fold_rows"):
-            st = _AvgState(g, heap_impl)
-            stale = [1.0] * 4
-            getattr(st, fold)(0, 1, None)  # folds 0 into 1: size 2
-            # make 1's entries stale on the neighbor side by hand
-            st.heaps[2].update(1, 99.0)
-            rebuild_cluster(st, stale, 1)
-            assert stale[1] == 2.0
-            assert st.heaps[2].get(1) == pytest.approx(0.5 / 2)
-            assert st.heaps[3].get(1) == pytest.approx(0.25 / 2)
-            # stored priorities in heap(1) equal cut/|nbr| exactly after a rebuild
-            assert sorted(st.heaps[1].keys()) == sorted(st.cut[1])
-            for c, prio in st.heaps[1].entries():
-                assert prio == st.true_prio(1, c)
-            # rebuilding a never-grown cluster only resets the snapshot
-            before = dict(st.heaps[2].entries())
-            rebuild_cluster(st, stale, 2)
-            assert dict(st.heaps[2].entries()) == before and stale[2] == 1.0
-
-
-@pytest.mark.parametrize("heap_impl", ["tree", "meld"])
-def test_balanced_rebuilding_merge_writes_each_entry_once(heap_impl, monkeypatch):
-    # 0 and 1 have degree 3 each, so approx folds only their rows: 2 is new
-    # to 1, 3 is joined and 4 was 1's own neighbor
-    g = make_graph(6, [(0, 1, 1.0), (0, 2, 0.5), (0, 3, 0.4), (1, 3, 0.3),
-                       (1, 4, 0.2), (4, 5, 0.1)])
-    st = _AvgState(g, heap_impl)
-    stale = [1.0] * g.n
-    writes = []
-    cls = type(st.heaps[0])
-    for op in ("insert", "update", "upsert"):
-        real = getattr(cls, op)
-
-        def counted(h, key, prio, real=real):
-            writes.append((h, key))
-            real(h, key, prio)
-
-        monkeypatch.setattr(cls, op, counted)
-    survivor = st.fold_rows(0, 1, None)
-    rebuild_cluster(st, stale, survivor)
-    assert survivor == 1 and stale[1] == 2.0
-    # no per-entry moves: the survivor's heap is built, each neighbor's
-    # entry for the survivor is written once, and nothing else is written
-    owner = {id(h): c for c, h in enumerate(st.heaps)}
-    assert sorted((owner[id(h)], key) for h, key in writes) == [(2, 1), (3, 1), (4, 1)]
-    assert sorted(st.heaps[1].keys()) == [2, 3, 4]
-    for c in (2, 3, 4):
-        assert st.heaps[1].get(c) == st.true_prio(1, c)
-        assert st.heaps[c].get(1) == st.true_prio(c, 1)
-        assert 0 not in st.heaps[c]
-    assert len(st.heaps[0]) == 0 and not st.cut[0]
+        st = _AvgState(g, heap_impl)
+        stale = [1.0] * 4
+        st.merge_structural(0, 1, None)  # folds 0 into 1: size 2
+        # make 1's entries stale on the neighbor side by hand
+        st.heaps[2].update(1, 99.0)
+        rebuild_cluster(st, stale, 1)
+        assert stale[1] == 2.0
+        assert st.heaps[2].get(1) == pytest.approx(0.5 / 2)
+        assert st.heaps[3].get(1) == pytest.approx(0.25 / 2)
+        # stored priorities in heap(1) equal cut/|nbr| exactly after a rebuild
+        assert sorted(st.heaps[1].keys()) == sorted(st.cut[1])
+        for c, prio in st.heaps[1].entries():
+            assert prio == st.true_prio(1, c)
+        # rebuilding a never-grown cluster only resets the snapshot
+        before = dict(st.heaps[2].entries())
+        rebuild_cluster(st, stale, 2)
+        assert dict(st.heaps[2].entries()) == before and stale[2] == 1.0
 
 
 def test_refresh_out_edges_direct():

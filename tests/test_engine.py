@@ -238,9 +238,9 @@ def test_heap_pops_linear_on_tied_star(heap_impl, monkeypatch):
 @pytest.mark.parametrize("heap_impl", HEAP_IMPLS)
 @pytest.mark.parametrize("hub", [0, 200])
 def test_approx_pops_linear_on_hub_star(heap_impl, hub, monkeypatch):
-    """Each hub rebuild stales every leaf's queued key; re-keying the global
-    heap once per such rebuild keeps approx's pops O(n), not one per leaf
-    per rebuild (about n log_{1+delta} n)."""
+    """The hub owns every edge of its star, so only the hub has a global-heap
+    key, and a leaf's merge touches no other cluster's key: approx's pops
+    stay O(n)."""
     n = 400
     d, pops = global_pops(
         monkeypatch, lambda: approx_avg_hac(hub_star(n, hub), 0.1, heap_impl=heap_impl)
@@ -269,7 +269,7 @@ def test_audit_checks_switch(monkeypatch, small_graphs):
         return wrapper
 
     for owner, name in ((ClusterState, "check_mirror"), (ClusterState, "check_total_edges"),
-                        (average, "_check_best"), (average, "_check_sandwich"),
+                        (average, "_check_best"), (average, "_check_owned"),
                         (average, "refresh_out_edges")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     g = next(g for g in small_graphs if g.n >= 4)
@@ -283,7 +283,7 @@ def test_audit_checks_switch(monkeypatch, small_graphs):
         bests = calls.pop("refresh_out_edges")  # exact's BestEdge calls
         assert bests >= merges
         assert calls == (Counter(check_mirror=2 * merges, check_total_edges=2,
-                                 _check_best=bests, _check_sandwich=merges)
+                                 _check_best=bests, _check_owned=merges)
                          if checks else Counter())
 
 

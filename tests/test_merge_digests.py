@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import heapq
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from test_engine import hub_star, tied_graph
 
-from graphhac import average
 from graphhac.average import _AvgState, approx_avg_hac, exact_avg_hac, naive_avg_hac
-from graphhac.engine import chain_hac, heap_hac
+from graphhac.engine import RunAudit, chain_hac, heap_hac
 from graphhac.graph import build_knn_graph, load_points_csv, make_graph
 from graphhac.heaps import HEAP_IMPLS
 from graphhac.instances import random_connected_graph, random_sparse_graph
@@ -111,49 +110,37 @@ def test_merges_match_digest(key):
 
 
 @pytest.mark.parametrize("fam", ["random", "tied"])
-def test_approx_rekey_fires_on_family(fam, monkeypatch):
-    """The global-heap loop's bulk re-key after a large approx rebuild runs
-    on these families, so their approx digests pin it beyond stars. The loop
-    calls `heapify` once to start and once per re-key."""
-    calls = 0
-    real_heapify = heapq.heapify
+def test_approx_merge_branches_fire_on_family(fam, monkeypatch):
+    """Every way an approx run rewrites an entry occurs on these families at
+    epsilon 0.1, so their approx digests pin each: validation fixes, and
+    per folded neighbor of a merge a joined edge written at the survivor, a
+    bound moved from the folded side, or an entry relabelled at the
+    neighbor. Each folded neighbor's entry is checked after its merge."""
+    seen: Counter = Counter()
+    real = _AvgState.merge_owned
 
-    def counting_heapify(heap):
-        nonlocal calls
-        calls += 1
-        real_heapify(heap)
+    def merge_owned(st, a, b, audit):
+        f, s = st.fold_order(a, b)
+        before = [(c, c in st.cut[s], st.heaps[f].get(c)) for c in st.cut[f] if c != s]
+        assert real(st, a, b, audit) == s
+        for c, joined, mine in before:
+            if joined:
+                seen["joined"] += 1
+                assert st.heaps[s].get(c) == st.true_prio(s, c) and s not in st.heaps[c]
+            elif mine is not None:
+                seen["moved"] += 1
+                assert st.heaps[s].get(c) == mine and s not in st.heaps[c]
+            else:
+                seen["relabelled"] += 1
+                assert st.heaps[c].get(s) == st.true_prio(c, s) and c not in st.heaps[s]
+        return s
 
-    monkeypatch.setattr(heapq, "heapify", counting_heapify)
-    graphs = family(fam)
-    for g in graphs:
-        approx_avg_hac(g, 0.1)
-    assert calls > len(graphs), (calls, len(graphs))
-
-
-@pytest.mark.parametrize("fam", ["random", "tied"])
-def test_approx_rebuild_branches_fire_on_family(fam, monkeypatch):
-    """Both ways an approx merge rebuilds its survivor run on these families
-    at epsilon 0.1, so their approx digests pin both: a balanced merge folds
-    only the rows and the rebuild builds the survivor's heap fresh, any
-    other moves the folded entries and the rebuild walks the heap."""
-    fresh = rebuilds = 0
-    real_fold_rows, real_rebuild = _AvgState.fold_rows, average.rebuild_cluster
-
-    def fold_rows(*args):
-        nonlocal fresh
-        fresh += 1
-        return real_fold_rows(*args)
-
-    def rebuild_cluster(*args):
-        nonlocal rebuilds
-        rebuilds += 1
-        return real_rebuild(*args)
-
-    monkeypatch.setattr(_AvgState, "fold_rows", fold_rows)
-    monkeypatch.setattr(average, "rebuild_cluster", rebuild_cluster)
+    monkeypatch.setattr(_AvgState, "merge_owned", merge_owned)
     for g in family(fam):
-        approx_avg_hac(g, 0.1)
-    assert 0 < fresh < rebuilds, (fresh, rebuilds)
+        audit = RunAudit()
+        approx_avg_hac(g, 0.1, audit=audit)
+        seen["fixes"] += audit.fixes
+    assert min(seen[k] for k in ("fixes", "joined", "moved", "relabelled")) > 0, seen
 
 
 if __name__ == "__main__":
