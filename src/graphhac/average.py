@@ -393,9 +393,10 @@ def approx_avg_hac(
         fixes <= (2m + 2 sum deg(folded)) (1 + log_{1/(1-epsilon)} n),
 
     O(m log m / epsilon) under `engine.merge_cost_bound`. Each fix is an
-    O(log n) heap write, and each global-heap pop either merges or follows
-    a merge or a fix that lowered the popped key, so the run takes
-    O~(m / epsilon) time, the paper's O~(m) at fixed epsilon.
+    O(log n) heap write. A global-heap pop that does not merge meets a
+    folded cluster or a key that a merge or a fix changed after it was
+    queued, and a merge changes at most deg(folded) + 1 keys, so the run
+    takes O~(m / epsilon) time, the paper's O~(m) at fixed epsilon.
 
     This departs from the paper's epsilon-close algorithm, which keeps
     both ends of every edge in heaps and rebuilds a cluster's edges each

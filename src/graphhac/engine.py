@@ -61,7 +61,8 @@ class HeapState:
     singleton whose neighbor heap holds its incident edge weights."""
 
     def __init__(self, adj: list[dict[int, float]], heap_impl: str):
-        """`adj` is the graph's `adjacency()`; it is only read."""
+        """`adj[c]` maps the keys of c's initial heap to their priorities,
+        as the graph's `adjacency()` does; it is only read."""
         if not adj:
             raise ValueError("empty graph")
         self.n = n = len(adj)
