@@ -12,7 +12,6 @@ import functools
 import logging
 import os
 import random
-import statistics
 import sys
 import tempfile
 import time
@@ -106,15 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated cluster counts to score (default: all)",
     )
 
-    bench = sub.add_parser("bench", help="time the average-linkage engines")
-    bench.add_argument("--sizes", default="1000,4000", help="comma-separated n values")
-    bench.add_argument("--engines", default="naive,exact,approx")
-    bench.add_argument("--graph", choices=["star", "random"], default="star")
-    bench.add_argument("--reps", type=int, default=3)
-    bench.add_argument("--epsilon", type=float, default=0.1)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--output", default=None, help="TSV file (default stdout)")
-
     st = sub.add_parser("selftest", help="run the oracle-equivalence and audit suites")
     st.add_argument("--trials", type=int, default=20)
     st.add_argument("--seed", type=int, default=0)
@@ -185,50 +175,6 @@ def _cmd_eval(args) -> int:
         Path(args.output).write_text(report, encoding="utf-8")
     else:
         sys.stdout.write(report)
-    return EXIT_OK
-
-
-def _bench_instance(kind: str, n: int, seed: int) -> WeightedGraph:
-    if kind == "star":
-        return instances.star_graph(n)
-    return instances.random_sparse_graph(seed, n)
-
-
-def _cmd_bench(args) -> int:
-    if args.reps < 1:
-        raise UsageError(f"--reps must be at least 1, got {args.reps}")
-    engines = {
-        "naive": lambda g: average.naive_avg_hac(g),
-        "exact": lambda g: average.exact_avg_hac(g),
-        "approx": lambda g: average.approx_avg_hac(g, args.epsilon),
-    }
-    chosen = [e for e in args.engines.split(",") if e]
-    bad = [e for e in chosen if e not in engines]
-    if bad:
-        raise UsageError(f"unknown engines {bad}; pick from {sorted(engines)}")
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        raise UsageError(f"bad --sizes list {args.sizes!r}") from None
-    rows = ["engine\tgraph\tn\tm\tmedian_s\truns_s"]
-    for n in sizes:
-        g = _bench_instance(args.graph, n, args.seed)
-        for name in chosen:
-            times = []
-            for _ in range(args.reps):
-                t0 = time.perf_counter()
-                engines[name](g)
-                times.append(time.perf_counter() - t0)
-            runs = ",".join(f"{t:.4f}" for t in times)
-            rows.append(
-                f"{name}\t{args.graph}\t{g.n}\t{g.m}\t{statistics.median(times):.4f}\t{runs}"
-            )
-            log.info("bench %s n=%d: median %.4fs", name, n, statistics.median(times))
-    out = "\n".join(rows) + "\n"
-    if args.output:
-        Path(args.output).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
     return EXIT_OK
 
 
@@ -405,8 +351,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_knn(args)
         if args.command == "eval":
             return _cmd_eval(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         return _cmd_selftest(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -81,30 +81,17 @@ def make_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedGraph
 
 def validate_graph(g: WeightedGraph) -> None:
     """Check the representation invariants; raise ValueError on violation."""
-    if g.n < 0:
-        raise ValueError("negative vertex count")
-    prev = (-1, -1)
-    for u, v, w in g.edges:
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={g.n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if u > v:
-            raise ValueError(f"edge ({u},{v}) not stored with u < v")
-        if (u, v) == prev:
-            raise ValueError(f"duplicate edge ({u},{v})")
-        if (u, v) < prev:
-            raise ValueError(f"edge ({u},{v}) out of sorted order")
-        prev = (u, v)
-        if not math.isfinite(w):
-            raise ValueError(f"non-finite weight on edge ({u},{v})")
+    u, v, w = zip(*g.edges) if g.edges else ((), (), ())
+    # ids beyond int64 turn the id arrays to float or object; any such id
+    # is out of range, and that rule is checked first
+    _check_edges(g.n, np.array(u), np.array(v), np.array(w, float))
 
 
 def _check_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
-    """validate_graph's rules on edge arrays, for graphs built from arrays
-    (the k-NN build, `symmetrize` and parsing): ids in [0, n), u < v, pairs
-    strictly increasing, finite weights. Raises for the first rule broken,
-    naming its first offending edge."""
+    """The graph rules on edge arrays, for `validate_graph` and for graphs
+    built from arrays (the k-NN build, `symmetrize` and parsing): ids in
+    [0, n), u < v, pairs strictly increasing, finite weights. Raises for the
+    first rule broken, naming its first offending edge."""
     if n < 0:
         raise ValueError("negative vertex count")
     same_u = np.r_[False, u[1:] == u[:-1]]

@@ -3,7 +3,7 @@
 Two interchangeable representations with identical observable behavior:
 
 * TreeNeighborHeap: a hash table key -> priority, which is the truth for
-  get, len and membership, plus an addressable binary heap: a `heapq` list
+  get and len, plus an addressable binary heap: a `heapq` list
   of (-priority, key) slots and a key -> slot map. BestEdge reads slot 0 in
   O(1). Construction is one `heapify`, O(d) from any order, KeyError on a
   duplicate key. Insert, update and delete move one slot up or down, O(log
@@ -114,8 +114,8 @@ def _union(self, other, combine: CombineFn):
 class TreeNeighborHeap:
     """Addressable binary heap (deterministic).
 
-    `_tab` maps key -> priority and is the truth for get, len and
-    membership, as in MeldNeighborHeap. `_heap` holds one `(-prio, key)`
+    `_tab` maps key -> priority and is the truth for get and len, as in
+    MeldNeighborHeap. `_heap` holds one `(-prio, key)`
     slot per key in `heapq` min-heap order, so slot 0 is the best edge
     under the (max priority, min key) rule, and `_pos` maps each key to its
     slot. A write of the priority already stored returns after the table
@@ -139,9 +139,6 @@ class TreeNeighborHeap:
 
     def __len__(self) -> int:
         return len(self._tab)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._tab
 
     def get(self, key: int) -> float | None:
         return self._tab.get(key)
@@ -263,9 +260,6 @@ class MeldNeighborHeap:
 
     def __len__(self) -> int:
         return len(self._tab)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._tab
 
     def get(self, key: int) -> float | None:
         return self._tab.get(key)

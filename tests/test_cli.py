@@ -142,17 +142,6 @@ def test_eval_report_equals_per_level_path(tmp_path):
         assert report.read_bytes() == cli._format_report(oracle).encode(), seed
 
 
-def test_bench_tsv_shape(tmp_path):
-    out = tmp_path / "bench.tsv"
-    assert run_cli(
-        ["bench", "--sizes", "50,80", "--engines", "naive,approx", "--graph", "star",
-         "--reps", "2", "--output", str(out)]
-    ) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].split("\t") == ["engine", "graph", "n", "m", "median_s", "runs_s"]
-    assert len(lines) == 1 + 2 * 2
-
-
 def test_selftest_passes(capsys):
     assert run_cli(["selftest", "--trials", "4"]) == 0
     out = capsys.readouterr().out
@@ -307,16 +296,14 @@ def test_exit_code_weights_outside_linkage_domain(tmp_path, capsys, case, linkag
     [
         (["selftest", "--trials", "0"], "--trials"),
         (["selftest", "--trials", "-3"], "--trials"),
-        (["bench", "--sizes", "20", "--reps", "0"], "--reps"),
-        (["bench", "--sizes", "20", "--reps", "-1"], "--reps"),
     ],
 )
 def test_exit_code_repeat_count_below_one(capsys, args, flag):
-    # zero trials would print "ok" without checking anything; zero reps has no median
+    # zero trials would print "ok" without checking anything
     assert run_cli(args) == 2
     captured = capsys.readouterr()
     assert flag in captured.err and "Traceback" not in captured.err
-    assert "ok" not in captured.out and "engine" not in captured.out
+    assert "ok" not in captured.out
 
 
 def test_exit_code_huge_vertex_id(tmp_path, capsys):
@@ -375,10 +362,13 @@ def test_eval_huge_leaf_count_fails_before_per_leaf_work(tmp_path, capsys):
     assert "must leave 999999999999 roots, got 1" in err and len(err) < 300
 
 
-def test_usage_error_from_argparse():
-    with pytest.raises(SystemExit) as exc:
-        main(["hac", "--linkage", "ward", "--input", "x", "--output", "y"])
-    assert exc.value.code == 2
+def test_usage_error_from_argparse(capsys):
+    # an unknown choice of linkage or of command is argparse's to refuse
+    for argv in (["hac", "--linkage", "ward", "--input", "x", "--output", "y"], ["bench"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_parser_reuse_leaks_nothing_between_calls(tmp_path, monkeypatch):

@@ -231,6 +231,7 @@ def test_validator_catches_violations():
         (((1, 2, 0.5), (0, 1, 0.5)), r"edge \(0,1\) out of sorted order"),
         (((0, 1, 0.5), (1, 2, math.nan)), r"non-finite weight on edge \(1,2\)"),
         (((-1, 1, 0.5),), r"edge \(-1,1\) out of range for n=3"),
+        (((0, 2**70, 0.5),), r"edge \(0,1180591620717411303424\) out of range for n=3"),
     ]:
         with pytest.raises(ValueError, match=message):
             validate_graph(WeightedGraph(3, edges))

@@ -60,7 +60,7 @@ def test_triangle_based_property(kind):
         unaffected = {
             a: w
             for a, w in state.heaps[b].entries()
-            if a != c and a not in state.heaps[c]
+            if a != c and state.heaps[c].get(a) is None
         }
         survivor = merge_clusters(state, b, c)
         for a, prior in unaffected.items():
