@@ -25,9 +25,10 @@ from above, and a top that is too far above it is rewritten.
   (`test_exact_validation_on_ties`).
 * exact_avg_hac: the chain loop shared with `chain_hac`
   (`engine._chain_loop`) with validation on extraction and nothing else.
-  Both ends of every edge have an entry. A merge writes true values where
-  it changes a cut sum and carries upper bounds everywhere else; the loop's
-  `best` callback rewrites stale tops until the top is true. This departs
+  Both ends of every edge have an entry. A merge writes the true value of
+  every entry it moves or creates, and the other entries keep stored upper
+  bounds, which turn stale as their other end grows; the loop's `best`
+  callback rewrites stale tops until the top is true. This departs
   from the paper, which keeps a low-outdegree edge orientation so that a
   cluster's stale entries are its few out-edges: a charging argument over
   the pairs that ever share a heap entry already bounds the rewrites by
@@ -154,31 +155,37 @@ class _AvgState(HeapState):
 
     def merge_structural(self, a: int, b: int, audit: RunAudit | None) -> int:
         """Fold one side of {a, b} into the other (`fold_order`) in one pass
-        over the folded row that leaves each entry it touches final: the cut
-        sums add into the survivor's row, the survivor's heap takes the true
-        priority of each joined edge and the folded heap's stored bound for
-        each new one, and each ex-neighbor's heap swaps its folded entry for
-        the survivor's true priority. The folded heap is left empty. Returns
-        the survivor."""
+        over the folded row that leaves each entry it touches true: the cut
+        sums add into the survivor's row and the survivor's heap takes the
+        true priority cs/|c| of every edge it gains or joins. Each
+        ex-neighbor c moves its folded entry to the survivor at cs/|s|: a
+        joined c deletes it and updates its survivor entry, any other c
+        rekeys it in its own slot. A moved edge that is not joined keeps its
+        cut sum and its other end, so its true value is at most the bound
+        the folded heap stored. The folded heap is left empty. Returns the
+        survivor."""
         folded, survivor = self._start_merge(a, b, audit)
         heaps, cut, size = self.heaps, self.cut, self.size
         row_f, row_s = cut[folded], cut[survivor]
-        heap_f, heap_s = heaps[folded], heaps[survivor]
+        heap_s = heaps[survivor]
         new_size = size[survivor]
         heap_s.delete(folded)
         for c, cs in row_f.items():
             row_c = cut[c]
             del row_c[folded]
-            if c in row_s:
-                cs += row_s[c]
+            cs_s = row_s.get(c)
+            if cs_s is not None:  # joined
+                cs += cs_s
                 heap_s.update(c, cs / size[c])
+                heap_c = heaps[c]
+                heap_c.delete(folded)
+                heap_c.update(survivor, cs / new_size)
             else:
-                heap_s.insert(c, heap_f.get(c))
+                heap_s.insert(c, cs / size[c])
+                heaps[c].rekey(folded, survivor, cs / new_size)
             row_s[c] = row_c[survivor] = cs
-            heaps[c].delete(folded)
-            heaps[c].upsert(survivor, cs / new_size)
         row_f.clear()
-        heaps[folded] = type(heap_f)()
+        heaps[folded] = type(heap_s)()
         return survivor
 
     def merge_owned(self, a: int, b: int, audit: RunAudit | None) -> int:
@@ -189,9 +196,9 @@ class _AvgState(HeapState):
           they are, and s takes its true priority;
         - an edge that f owned moves to s with f's stored bound, since its
           cut sum and its other end are unchanged;
-        - an edge that c owned stays with c, relabelled from f to s at the
-          true priority cs/|s|, which is at most cs/|f| and so at most the
-          bound it replaces.
+        - an edge that c owned stays with c, rekeyed in its own slot from f
+          to s at the true priority cs/|s|, which is at most cs/|f| and so
+          at most the bound it replaces.
         So a cluster other than s only loses entries or sees one fall. The
         folded heap is left empty. Returns the survivor."""
         folded, survivor = self._start_merge(a, b, audit)
@@ -205,12 +212,12 @@ class _AvgState(HeapState):
         for c, cs in row_f.items():
             row_c = cut[c]
             del row_c[folded]
-            heap_c = heaps[c]
             mine = get_f(c)
-            if mine is None:
-                heap_c.delete(folded)
             cs_s = row_s.get(c)
             if cs_s is not None:  # joined
+                heap_c = heaps[c]
+                if mine is None:
+                    heap_c.delete(folded)
                 cs += cs_s
                 if get_s(c) is None:
                     heap_c.delete(survivor)
@@ -218,7 +225,7 @@ class _AvgState(HeapState):
             elif mine is not None:
                 insert_s(c, mine)
             else:
-                heap_c.insert(survivor, cs / new_size)
+                heaps[c].rekey(folded, survivor, cs / new_size)
             row_s[c] = row_c[survivor] = cs
         row_f.clear()
         heaps[folded] = type(heap_f)()
@@ -277,9 +284,10 @@ def exact_avg_hac(
     """Chain-driver exact UPGMA that validates heap tops on extraction.
 
     A merge is `_AvgState.merge_structural`. It writes the true priority of
-    each joined edge in both endpoint heaps and of each ex-neighbor's entry
-    for the survivor; every other entry keeps a stored priority that bounds
-    its true one from above. `best(t)` is `refresh_out_edges`, which
+    every entry it moves or creates: the survivor's entry for each of the
+    folded side's neighbors and each such neighbor's entry for the
+    survivor. Every other entry keeps a stored priority that bounds its
+    true one from above. `best(t)` is `refresh_out_edges`, which
     rewrites stale tops of heap(t) until the top is true.
 
     Bound on the rewrites ("fixes"). Let P be the set of ordered pairs
@@ -287,10 +295,10 @@ def exact_avg_hac(
     and a merge adds at most 2 deg(folded): the survivor's entries for the
     folded side's neighbors and theirs for it. So |P| <= 2m + 2 sum
     deg(folded), which is O(m log m) under `engine.merge_cost_bound`.
-    - An entry for X in heap(t) turns stale only when it is created with a
-      carried bound or when X grows, since every change of a cut sum writes
-      the true value and t's own size is not in the entry. One `best(t)`
-      call fixes an entry at most once. So with q(t) the number of
+    - An entry for X in heap(t) turns stale only when X grows, since every
+      entry is created with its true value, every change of a cut sum
+      writes the true value and t's own size is not in the entry. One
+      `best(t)` call fixes an entry at most once. So with q(t) the number of
       `best(t)` calls and g(X) the number of times X grows, the pair is
       fixed at most 1 + min(q(t), g(X)) times.
     - Sum q <= 3n: each call either pushes a neighbor (at most 2n - 1

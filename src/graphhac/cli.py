@@ -179,15 +179,16 @@ def _cmd_eval(args) -> int:
 
 
 def _heap_ops_mismatch(seed: int) -> str:
-    """Run a seeded random sequence of insert/update/upsert/delete/relabel/
-    union/best_edge on every heap representation beside a dict oracle;
-    returns the first disagreement, or "" when there is none."""
+    """Run a seeded random sequence of insert/update/upsert/delete/rekey/
+    relabel/union/best_edge on every heap representation beside a dict
+    oracle; a rekey onto a present key must raise KeyError and change
+    nothing. Returns the first disagreement, or "" when there is none."""
     rng = random.Random(seed)
     pools = [([new_heap(impl) for impl in HEAP_IMPLS], {}) for _ in range(4)]
     for step in range(1000):
         i = rng.randrange(len(pools))
         hs, oracle = pools[i]
-        op = rng.choice(("insert", "update", "upsert", "delete", "relabel", "union"))
+        op = rng.choice(("insert", "update", "upsert", "delete", "rekey", "relabel", "union"))
         k, p = rng.randrange(48), rng.choice((0.25, 0.5, rng.random()))
         try:
             if op == "insert" and k not in oracle or op == "upsert":
@@ -202,6 +203,20 @@ def _heap_ops_mismatch(seed: int) -> str:
                 want = oracle.pop(k)
                 if any(h.delete(k) != want for h in hs):
                     return f"step {step}: delete({k}) returned a wrong priority"
+            elif op == "rekey" and k in oracle:
+                new = rng.randrange(48)
+                for h in hs:
+                    try:
+                        h.rekey(k, new, p)
+                    except KeyError:
+                        if new not in oracle:
+                            raise
+                    else:
+                        if new in oracle:
+                            return f"step {step}: rekey({k}, {new}) onto a present key did not raise"
+                if new not in oracle:
+                    del oracle[k]
+                    oracle[new] = p
             elif op == "relabel" and k in oracle:
                 new = rng.randrange(48)
                 for h in hs:

@@ -23,9 +23,17 @@ s <= l; the larger heap is returned and the smaller is left empty. Over a
 triangle-linkage run the smaller sizes sum to at most
 `engine.merge_cost_bound(m)`, so all unions together cost O~(m).
 
+A merge relabels each neighbor's entry for the folded cluster to the
+survivor. `rekey(old_key, new_key, prio)` is that edit when new_key is
+absent: the tree reuses old_key's slot and moves it once, where a delete
+and an insert would move two slots, and the meld heap pushes one entry.
+`relabel` uses it, and otherwise deletes old_key and combines its priority
+into new_key's.
+
 best_edge ties always break toward the smaller key; priorities are compared
 exactly (no epsilons inside the structure). entries() runs in key order on
-the tree and in table order on the meld heap.
+the tree and in table order on the meld heap; keys() runs in table order on
+both.
 """
 
 from __future__ import annotations
@@ -84,13 +92,18 @@ def _sift_down(heap: list, pos: dict, i: int, item: tuple) -> None:
 
 def _relabel(self, old_key: int, new_key: int, combine: CombineFn) -> None:
     """Move old_key's priority to new_key, combined with new_key's own
-    priority if it has one. Assigned in both heap class bodies, so each
-    class defines its own `relabel`."""
-    prio = self.delete(old_key)
-    ex = self._tab.get(new_key)
+    priority if it has one; relabel(k, k, f) leaves the heap as it is.
+    Assigned in both heap class bodies, so each class defines its own
+    `relabel`."""
+    tab = self._tab
+    prio = tab.get(old_key)
+    if prio is None:
+        raise KeyError(f"relabel: key {old_key} absent")
+    ex = tab.get(new_key)
     if ex is None:
-        self.insert(new_key, prio)
-    else:
+        self.rekey(old_key, new_key, prio)
+    elif new_key != old_key:
+        self.delete(old_key)
         self.update(new_key, combine(ex, prio))
 
 
@@ -119,8 +132,8 @@ class TreeNeighborHeap:
     slot per key in `heapq` min-heap order, so slot 0 is the best edge
     under the (max priority, min key) rule, and `_pos` maps each key to its
     slot. A write of the priority already stored returns after the table
-    lookup; a changed priority moves its slot up or down once. entries()
-    runs in key order."""
+    lookup; a changed priority moves its slot up or down once, and so does
+    a rekey. entries() runs in key order, keys() in table order."""
 
     __slots__ = ("_tab", "_heap", "_pos")
 
@@ -212,6 +225,30 @@ class TreeNeighborHeap:
                 _sift_down(heap, pos, i, last)
         return prio
 
+    def rekey(self, old_key: int, new_key: int, prio: float) -> None:
+        """Turn old_key's entry into new_key's at prio, in old_key's slot,
+        and move that slot once. new_key must be absent; on a KeyError the
+        heap is unchanged."""
+        tab = self._tab
+        if new_key in tab:
+            raise KeyError(f"rekey: key {new_key} already present")
+        if tab.pop(old_key, None) is None:
+            raise KeyError(f"rekey: key {old_key} absent")
+        tab[new_key] = prio
+        heap, pos = self._heap, self._pos
+        i = pos.pop(old_key)
+        item = (-prio, new_key)
+        # keys differ, so the new slot is strictly above or below the old
+        if item < heap[i]:
+            if i and item < heap[(i - 1) >> 1]:
+                _sift_up(heap, pos, i, item)
+                return
+        elif 2 * i + 1 < len(heap):
+            _sift_down(heap, pos, i, item)
+            return
+        heap[i] = item
+        pos[new_key] = i
+
     def best_edge(self) -> tuple[int, float]:
         heap = self._heap
         if not heap:
@@ -227,7 +264,7 @@ class TreeNeighborHeap:
         return iter(sorted(self._tab.items()))
 
     def keys(self) -> list[int]:
-        return sorted(self._tab)
+        return list(self._tab)
 
 
 class MeldNeighborHeap:
@@ -302,6 +339,20 @@ class MeldNeighborHeap:
         if len(self._heap) > 2 * len(tab) + _SLACK:
             self._compact()
         return prio
+
+    def rekey(self, old_key: int, new_key: int, prio: float) -> None:
+        """Turn old_key's entry into new_key's at prio: old_key's list
+        entry goes dead and one entry is pushed. new_key must be absent; on
+        a KeyError the heap is unchanged."""
+        tab = self._tab
+        if new_key in tab:
+            raise KeyError(f"rekey: key {new_key} already present")
+        if tab.pop(old_key, None) is None:
+            raise KeyError(f"rekey: key {old_key} absent")
+        tab[new_key] = prio
+        heappush(self._heap, (-prio, new_key))
+        if len(self._heap) > 2 * len(tab) + _SLACK:
+            self._compact()
 
     def best_edge(self) -> tuple[int, float]:
         heap, tab = self._heap, self._tab

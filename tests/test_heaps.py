@@ -101,16 +101,21 @@ def test_update_to_same_priority_changes_nothing(cls, monkeypatch):
 def test_failed_edits_leave_heap_intact(cls):
     entries = [(k, k / 10.0) for k in (3, 1, 4, 15, 9, 2, 6)]
     h = cls(entries)
+    check = check_heap if cls is TreeNeighborHeap else check_meld
     for bad_op in (
         lambda: h.insert(4, 0.99),
         lambda: h.update(5, 0.5),
         lambda: h.delete(5),
         lambda: h.relabel(5, 7, max),
+        lambda: h.rekey(5, 7, 0.5),  # old key absent
+        lambda: h.rekey(4, 9, 2.0),  # new key present
+        lambda: h.rekey(4, 4, 2.0),
     ):
         with pytest.raises(KeyError):
             bad_op()
         assert sorted(h.entries()) == sorted(entries)
         assert h.best_edge() == (15, 1.5)
+        check(h)
 
 
 @pytest.mark.parametrize("cls", IMPLS)
@@ -172,6 +177,50 @@ def test_relabel(cls):
     with pytest.raises(KeyError):
         cls([(2, 0.5)]).relabel(1, 9, max)
 
+    # relabel(k, k, f) leaves the heap as it is, and still needs k
+    h = cls([(1, 0.3), (2, 0.5)])
+    h.relabel(2, 2, max)
+    h.relabel(1, 1, lambda x, y: x + y)
+    assert dict(h.entries()) == {1: 0.3, 2: 0.5}
+    assert h.best_edge() == (2, 0.5)
+    with pytest.raises(KeyError):
+        cls([(2, 0.5)]).relabel(1, 1, max)
+
+
+@pytest.mark.parametrize("cls", IMPLS)
+def test_rekey_moves_up_down_and_stays(cls):
+    """A rekeyed entry rises to the root, falls to a leaf, or keeps its
+    slot. On the tree it reuses the old key's slot and moves once, at most
+    floor(log2 d) + 1 sift steps, and a slot that stays put keeps its
+    index; on the meld heap the lazy list keeps its bound."""
+    check = check_heap if cls is TreeNeighborHeap else check_meld
+    d = 31
+    items = [(k, 1.0 - k / 64) for k in range(d)]
+    for prio, fresh in ((2.0, 100), (0.0, 101), (None, 102)):
+        for old in range(d):
+            h = cls(items)
+            p = h.get(old) if prio is None else prio
+            if cls is TreeNeighborHeap:
+                slot = h._pos[old]
+                steps = count_sift_steps(h)
+            h.rekey(old, fresh, p)
+            check(h)
+            expect = dict(items)
+            del expect[old]
+            expect[fresh] = p
+            assert dict(h.entries()) == expect
+            assert sorted(h.keys()) == sorted(expect)
+            bp = max(expect.values())
+            assert h.best_edge() == (min(k for k, v in expect.items() if v == bp), bp)
+            if cls is TreeNeighborHeap:
+                assert steps() <= math.floor(math.log2(d)) + 1
+                if prio is None:  # same priority, larger key: only a tie could move it
+                    assert h._pos[fresh] == slot
+                elif prio == 2.0:
+                    assert h._heap[0] == (-2.0, fresh)
+                else:
+                    assert 2 * h._pos[fresh] + 1 >= d
+
 
 def _apply_op(heaps, op):
     """Apply one random op to parallel (tree, meld) heaps, oracle dict in [2];
@@ -202,9 +251,20 @@ def _apply_op(heaps, op):
         if k not in oracle:
             return heaps
         assert tree.delete(k) == meld.delete(k) == oracle.pop(k)
+    elif kind == "rekey":
+        _, old, new, p = op
+        if old not in oracle or new in oracle:
+            for h in (tree, meld):
+                with pytest.raises(KeyError):
+                    h.rekey(old, new, p)
+            return heaps
+        tree.rekey(old, new, p)
+        meld.rekey(old, new, p)
+        del oracle[old]
+        oracle[new] = p
     elif kind == "relabel":
         _, old, new = op
-        if old not in oracle or old == new:
+        if old not in oracle:
             return heaps
         tree.relabel(old, new, max)
         meld.relabel(old, new, max)
@@ -246,6 +306,7 @@ _ops = st.one_of(
     st.tuples(st.just("update"), _keys, _prios),
     st.tuples(st.just("upsert"), _keys, _prios),
     st.tuples(st.just("delete"), _keys),
+    st.tuples(st.just("rekey"), _keys, _keys, _prios),
     st.tuples(st.just("relabel"), _keys, _keys),
     st.tuples(st.just("union"), st.dictionaries(_keys, _prios, max_size=12), st.booleans()),
 )
@@ -258,6 +319,8 @@ def test_representations_equivalent_hypothesis(ops):
     for op in ops:
         heaps = _apply_op(heaps, op)
         _check_equal(heaps)
+        check_heap(heaps[0])
+        check_meld(heaps[1])
 
 
 def test_representations_equivalent_long_random_run():
@@ -355,6 +418,17 @@ def test_meld_deletes_alone_compact():
         h.delete(k)
         check_meld(h)
     assert len(h) == 0
+
+
+def test_meld_rekeys_alone_compact():
+    """Each rekey leaves one dead entry on the lazy list; a long run of
+    rekeys with no other edit and no best_edge must still compact it."""
+    h = MeldNeighborHeap((k, k / 40) for k in range(40))
+    for step in range(2000):
+        old, new = step, step + 40
+        h.rekey(old, new, h.get(old) / 2 if step % 2 else 1.0 + step)
+        check_meld(h)
+    assert sorted(h.keys()) == list(range(2000, 2040))
 
 
 def test_union_key_sets_match_map_merge_oracle():
