@@ -128,33 +128,11 @@ class _AvgState(HeapState):
     def degree(self, c: int) -> int:
         return len(self.cut[c])
 
-    def fold_order(self, a: int, b: int) -> tuple[int, int]:
-        cut = self.cut
-        if (len(cut[a]), a) < (len(cut[b]), b):
-            return a, b
-        return b, a
-
     def true_prio(self, owner: int, nbr: int) -> float:
         return self.cut[owner][nbr] / self.size[nbr]
 
-    def _start_merge(self, a: int, b: int, audit: RunAudit | None) -> tuple[int, int]:
-        """The part of a merge of a and b that both folds share: pick the
-        folded side (`fold_order`), drop the cut between them from both rows,
-        grow the survivor, retire the folded cluster and record the merge.
-        Returns (folded, survivor)."""
-        folded, survivor = self.fold_order(a, b)
-        if audit is not None:
-            audit.merge_degrees.append((self.degree(a), self.degree(b)))
-        cut, size = self.cut, self.size
-        mw = cut[folded].pop(survivor) / (size[folded] * size[survivor])
-        del cut[survivor][folded]
-        size[survivor] += size[folded]
-        self.active[folded] = False
-        self.builder.record(folded, survivor, mw, size[survivor])
-        return folded, survivor
-
     def merge_structural(self, a: int, b: int, audit: RunAudit | None) -> int:
-        """Fold one side of {a, b} into the other (`fold_order`) in one pass
+        """Fold one side of {a, b} into the other (`start_merge`) in one pass
         over the folded row that leaves each entry it touches true: the cut
         sums add into the survivor's row and the survivor's heap takes the
         true priority cs/|c| of every edge it gains or joins. Each
@@ -164,9 +142,10 @@ class _AvgState(HeapState):
         cut sum and its other end, so its true value is at most the bound
         the folded heap stored. The folded heap is left empty. Returns the
         survivor."""
-        folded, survivor = self._start_merge(a, b, audit)
         heaps, cut, size = self.heaps, self.cut, self.size
+        folded, survivor = self.start_merge(a, b, cut[a][b] / (size[a] * size[b]), audit)
         row_f, row_s = cut[folded], cut[survivor]
+        del row_f[survivor], row_s[folded]
         heap_s = heaps[survivor]
         new_size = size[survivor]
         heap_s.delete(folded)
@@ -201,9 +180,10 @@ class _AvgState(HeapState):
           at most the bound it replaces.
         So a cluster other than s only loses entries or sees one fall. The
         folded heap is left empty. Returns the survivor."""
-        folded, survivor = self._start_merge(a, b, audit)
         heaps, cut, size = self.heaps, self.cut, self.size
+        folded, survivor = self.start_merge(a, b, cut[a][b] / (size[a] * size[b]), audit)
         row_f, row_s = cut[folded], cut[survivor]
+        del row_f[survivor], row_s[folded]
         heap_f, heap_s = heaps[folded], heaps[survivor]
         new_size = size[survivor]
         get_f, get_s, insert_s = heap_f.get, heap_s.get, heap_s.insert

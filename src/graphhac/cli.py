@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 selftest failure, 2 usage or invalid flag
-combination, 3 unreadable input file, 4 input format error, 5 data
-validation error.
+combination, 3 unreadable or unwritable path, 4 input format error or a
+file that is not UTF-8, 5 data validation error.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="graphhac",
         description="Graph-based hierarchical agglomerative clustering.",
         epilog=(
-            "exit codes: 0 ok, 1 selftest failure, 2 usage, 3 unreadable file, "
-            "4 format error, 5 validation error. Set HAC_LOG=info|debug for "
-            "progress output."
+            "exit codes: 0 ok, 1 selftest failure, 2 usage, 3 unreadable or "
+            "unwritable path, 4 format error or non-UTF-8 file, 5 validation "
+            "error. Set HAC_LOG=info to log graph sizes and the clustering "
+            "time."
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)
@@ -370,10 +371,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
-        print(f"error: cannot read {e.filename}", file=sys.stderr)
+    except OSError as e:  # a missing, unreadable or unwritable path
+        print(f"error: {e.filename}: {e.strerror}" if e.filename else f"error: {e}",
+              file=sys.stderr)
         return EXIT_IO
-    except (GraphFormatError, DendrogramError) as e:
+    except (GraphFormatError, DendrogramError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FORMAT
     except ValueError as e:

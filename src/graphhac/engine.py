@@ -2,9 +2,13 @@
 nearest-neighbor chain or by a global heap.
 
 `HeapState` is the state every heap-backed engine shares: active flags,
-sizes, one neighbor heap per cluster, the dendrogram builder and the fold
-rule `fold_order`. Each discipline has one loop, which drives its engines
-through `best` and `merge(a, b) -> survivor` callbacks:
+sizes, one neighbor heap per cluster and the dendrogram builder. Its
+`start_merge` is the step every merge begins with: it folds the side of
+smaller degree (`fold_order`), records the degrees for an audit, grows the
+survivor, retires the folded cluster and records the merge; each engine
+then moves the folded cluster's heap entries its own way. Each discipline
+has one loop, which drives its engines through `best` and
+`merge(a, b) -> survivor` callbacks:
 
 * `_chain_loop` walks best-neighbor paths with a stack and merges reciprocal
   pairs. It drives `chain_hac` and `average.exact_avg_hac`.
@@ -12,9 +16,9 @@ through `best` and `merge(a, b) -> survivor` callbacks:
   best edges, queued at most once per cluster. It drives `heap_hac` and
   `average.approx_avg_hac`.
 
-For the triangle-based linkages `merge_clusters` unions the two neighbor
-heaps with the linkage's combine and relabels the folded cluster's
-neighbors to the survivor.
+For the triangle-based linkages `merge_clusters` follows `start_merge` by
+unioning the two neighbor heaps with the linkage's combine and relabelling
+the folded cluster's neighbors to the survivor.
 """
 
 from __future__ import annotations
@@ -78,9 +82,28 @@ class HeapState:
     def fold_order(self, a: int, b: int) -> tuple[int, int]:
         """(folded, survivor) for a merge of a and b: the smaller degree is
         folded, so a merge costs the smaller side; a tie folds the smaller id."""
-        if (len(self.heaps[a]), a) < (len(self.heaps[b]), b):
+        degree = self.degree
+        if (degree(a), a) < (degree(b), b):
             return a, b
         return b, a
+
+    def start_merge(
+        self, a: int, b: int, weight: float, audit: RunAudit | None
+    ) -> tuple[int, int]:
+        """The bookkeeping of a merge of a and b at `weight`: pick
+        (folded, survivor) by `fold_order`, append the pre-merge degrees of
+        a and b to `audit.merge_degrees`, add the folded size to the
+        survivor's, retire the folded cluster and record the merge. The
+        caller then moves the folded cluster's heap entries. Returns
+        (folded, survivor)."""
+        folded, survivor = self.fold_order(a, b)
+        if audit is not None:
+            audit.merge_degrees.append((self.degree(a), self.degree(b)))
+        size = self.size
+        size[survivor] += size[folded]
+        self.active[folded] = False
+        self.builder.record(folded, survivor, weight, size[survivor])
+        return folded, survivor
 
     def finish(self) -> Dendrogram:
         return self.builder.finish([c for c in range(self.n) if self.active[c]])
@@ -120,29 +143,24 @@ def merge_clusters(
     b: int,
     audit: RunAudit | None = None,
 ) -> int:
-    """Fold one cluster of {a, b} into the other (see `HeapState.fold_order`)
-    at the stored weight of (a, b); returns the surviving cluster id."""
+    """Fold one cluster of {a, b} into the other (`HeapState.start_merge`)
+    at the stored weight of (a, b): union the two neighbor heaps with the
+    linkage's combine and relabel the folded cluster's neighbors to the
+    survivor. Returns the surviving cluster id."""
+    heaps = state.heaps
     if not (state.active[a] and state.active[b]):
         raise ValueError(f"merge of inactive cluster: ({a},{b})")
-    weight = state.heaps[a].get(b)
-    if weight is None or state.heaps[b].get(a) is None:
+    weight = heaps[a].get(b)
+    if weight is None or heaps[b].get(a) is None:
         raise ValueError(f"no mutual edge between {a} and {b}")
-    folded, survivor = state.fold_order(a, b)
-    if audit is not None:
-        audit.merge_degrees.append((state.degree(a), state.degree(b)))
-
-    state.heaps[folded].delete(survivor)
-    state.heaps[survivor].delete(folded)
-    folded_nbrs = state.heaps[folded].keys()
-    state.heaps[survivor] = state.heaps[folded].union(
-        state.heaps[survivor], state.combine
-    )
+    folded, survivor = state.start_merge(a, b, weight, audit)
+    heaps[folded].delete(survivor)
+    heaps[survivor].delete(folded)
+    folded_nbrs = heaps[folded].keys()
+    heaps[survivor] = heaps[folded].union(heaps[survivor], state.combine)
     for c in folded_nbrs:
-        state.heaps[c].relabel(folded, survivor, state.combine)
-    state.active[folded] = False
-    state.size[survivor] += state.size[folded]
+        heaps[c].relabel(folded, survivor, state.combine)
     state.total_edges[survivor] += state.total_edges[folded]
-    state.builder.record(folded, survivor, weight, state.size[survivor])
     if audit is not None and audit.checks:
         state.check_mirror()
     return survivor

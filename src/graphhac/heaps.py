@@ -6,10 +6,11 @@ Two interchangeable representations with identical observable behavior:
   get and len, plus an addressable binary heap: a `heapq` list
   of (-priority, key) slots and a key -> slot map. BestEdge reads slot 0 in
   O(1). Construction is one `heapify`, O(d) from any order, KeyError on a
-  duplicate key. Insert, update and delete move one slot up or down, O(log
-  d) worst case, and leave no stale entries; delete fills the hole with the
-  last slot and moves it whichever way it belongs. A write of the priority
-  already stored returns after the table lookup.
+  duplicate key. Insert, update, upsert, delete and rekey each move one
+  slot up or down through `_move`, O(log d) worst case, and leave no stale
+  entries; delete fills the hole with the last slot and moves it whichever
+  way it belongs. A write of the priority already stored returns after the
+  table lookup, and update rewrites a slot that stays put in place.
 * MeldNeighborHeap: a hash table key -> priority, which is the truth, plus a
   `heapq` list of (-priority, key) entries that is cleaned lazily: a write
   of a changed priority pushes an entry, delete only touches the table, and
@@ -53,10 +54,14 @@ HEAP_IMPLS = ("tree", "meld")
 _SLACK = 16
 
 
-def _sift_up(heap: list, pos: dict, i: int, item: tuple) -> None:
-    """Put item in slot i of the binary heap and move it toward the root
-    past every parent that it precedes; each slot written gets its key's map
-    entry."""
+def _move(heap: list, pos: dict, i: int, item: tuple) -> None:
+    """Put item in slot i of the binary heap: move it toward the root past
+    every parent that it precedes, and if it rose past none, toward the
+    leaves past every child that precedes it, taking the smaller of two.
+    Every slot written gets its key's map entry, the item's final slot
+    included. Whatever slot i held (the item's old tuple, a placeholder or
+    the hole of a delete) is never read."""
+    start = i
     while i:
         parent = (i - 1) >> 1
         p = heap[parent]
@@ -65,27 +70,20 @@ def _sift_up(heap: list, pos: dict, i: int, item: tuple) -> None:
         heap[i] = p
         pos[p[1]] = i
         i = parent
-    heap[i] = item
-    pos[item[1]] = i
-
-
-def _sift_down(heap: list, pos: dict, i: int, item: tuple) -> None:
-    """Put item in slot i and move it toward the leaves past every smaller
-    child, taking the smaller of two; each slot written gets its key's map
-    entry."""
-    n = len(heap)
-    child = 2 * i + 1
-    while child < n:
-        c = heap[child]
-        if child + 1 < n and heap[child + 1] < c:
-            child += 1
-            c = heap[child]
-        if item < c:
-            break
-        heap[i] = c
-        pos[c[1]] = i
-        i = child
+    if i == start:
+        n = len(heap)
         child = 2 * i + 1
+        while child < n:
+            c = heap[child]
+            if child + 1 < n and heap[child + 1] < c:
+                child += 1
+                c = heap[child]
+            if item < c:
+                break
+            heap[i] = c
+            pos[c[1]] = i
+            i = child
+            child = 2 * i + 1
     heap[i] = item
     pos[item[1]] = i
 
@@ -132,8 +130,9 @@ class TreeNeighborHeap:
     slot per key in `heapq` min-heap order, so slot 0 is the best edge
     under the (max priority, min key) rule, and `_pos` maps each key to its
     slot. A write of the priority already stored returns after the table
-    lookup; a changed priority moves its slot up or down once, and so does
-    a rekey. entries() runs in key order, keys() in table order."""
+    lookup; a changed priority moves its slot up or down once through
+    `_move`, and so do an insert, a delete's refill and a rekey. entries()
+    runs in key order, keys() in table order."""
 
     __slots__ = ("_tab", "_heap", "_pos")
 
@@ -163,7 +162,7 @@ class TreeNeighborHeap:
         tab[key] = prio
         heap = self._heap
         heap.append(None)
-        _sift_up(heap, self._pos, len(heap) - 1, (-prio, key))
+        _move(heap, self._pos, len(heap) - 1, (-prio, key))
 
     def update(self, key: int, prio: float) -> None:
         tab = self._tab
@@ -180,16 +179,16 @@ class TreeNeighborHeap:
         # leaf) is rewritten without touching the slot map
         if prio > old:
             if i and item < heap[(i - 1) >> 1]:
-                _sift_up(heap, pos, i, item)
+                _move(heap, pos, i, item)
                 return
         elif 2 * i + 1 < len(heap):
-            _sift_down(heap, pos, i, item)
+            _move(heap, pos, i, item)
             return
         heap[i] = item
 
     def upsert(self, key: int, prio: float) -> None:
-        """insert, or update when key is present; the update path is
-        update's, inlined like the insert path, since both are hot."""
+        """insert, or update when key is present; a slot that stays put
+        rewrites its map entry too."""
         tab = self._tab
         old = tab.get(key)
         if old == prio:
@@ -198,18 +197,10 @@ class TreeNeighborHeap:
         heap, pos = self._heap, self._pos
         if old is None:
             heap.append(None)
-            _sift_up(heap, pos, len(heap) - 1, (-prio, key))
-            return
-        i = pos[key]
-        item = (-prio, key)
-        if prio > old:
-            if i and item < heap[(i - 1) >> 1]:
-                _sift_up(heap, pos, i, item)
-                return
-        elif 2 * i + 1 < len(heap):
-            _sift_down(heap, pos, i, item)
-            return
-        heap[i] = item
+            i = len(heap) - 1
+        else:
+            i = pos[key]
+        _move(heap, pos, i, (-prio, key))
 
     def delete(self, key: int) -> float:
         prio = self._tab.pop(key, None)
@@ -218,11 +209,8 @@ class TreeNeighborHeap:
         heap, pos = self._heap, self._pos
         i = pos.pop(key)
         last = heap.pop()
-        if i < len(heap):  # the last slot fills the hole: up or down
-            if i and last < heap[(i - 1) >> 1]:
-                _sift_up(heap, pos, i, last)
-            else:
-                _sift_down(heap, pos, i, last)
+        if i < len(heap):  # the last slot fills the hole
+            _move(heap, pos, i, last)
         return prio
 
     def rekey(self, old_key: int, new_key: int, prio: float) -> None:
@@ -235,19 +223,8 @@ class TreeNeighborHeap:
         if tab.pop(old_key, None) is None:
             raise KeyError(f"rekey: key {old_key} absent")
         tab[new_key] = prio
-        heap, pos = self._heap, self._pos
-        i = pos.pop(old_key)
-        item = (-prio, new_key)
-        # keys differ, so the new slot is strictly above or below the old
-        if item < heap[i]:
-            if i and item < heap[(i - 1) >> 1]:
-                _sift_up(heap, pos, i, item)
-                return
-        elif 2 * i + 1 < len(heap):
-            _sift_down(heap, pos, i, item)
-            return
-        heap[i] = item
-        pos[new_key] = i
+        pos = self._pos
+        _move(self._heap, pos, pos.pop(old_key), (-prio, new_key))
 
     def best_edge(self) -> tuple[int, float]:
         heap = self._heap

@@ -106,7 +106,7 @@ def test_approx_epsilon_validation():
             approx_avg_hac(STAR5, bad)
 
 
-def test_approx_star_weights_within_staleness_factor():
+def test_approx_star_weights_within_epsilon():
     # a merge is (1-eps)-close to the true maximum, which is no more than
     # the exact run's weight at that step
     want = [1.0, 1 / 2, 1 / 3, 1 / 4]
@@ -156,7 +156,7 @@ def test_naive_is_zero_close_on_distinct_weights(small_graphs):
         assert report.passed and report.worst_ratio >= 1.0 - 1e-9
 
 
-def test_exact_in_edge_invariant():
+def test_exact_best_check_on_random():
     for t in range(12):
         g = random_connected_graph(5000 + t, max_n=48)
         exact_avg_hac(g, audit=RunAudit(checks=True))
@@ -218,7 +218,7 @@ def test_cut_maps_mirror_contraction(heap_impl):
             assert len(expected) == sum(len(row) for row in st.cut)
 
 
-def test_approx_sandwich_invariant():
+def test_approx_owned_check_on_random():
     # after every merge: one entry per live edge, each at least its true
     # priority, and the merged edge (1-eps)-close to its stored key
     for t in range(12):
@@ -443,7 +443,7 @@ def test_disconnected_components_forest():
         assert len(d.roots) == 2
 
 
-def test_exact_orientation_invariant_and_audit(small_graphs):
+def test_exact_checks_and_stack_audit(small_graphs):
     for g in small_graphs[:8]:
         audit = RunAudit(checks=True)
         exact_avg_hac(g, audit=audit)

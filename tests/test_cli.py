@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -162,17 +163,17 @@ def test_selftest_round_trip_catches_a_lossy_writer(monkeypatch):
 
 
 def test_selftest_heap_ops_catch_a_broken_heap(monkeypatch):
-    """The selftest's random heap-op run reports a tree heap whose sift-up
-    leaves every entry where it lands."""
+    """The selftest's random heap-op run reports a tree heap whose slot
+    move leaves every entry where it lands."""
     import graphhac.heaps as heap_module
 
     assert all(cli._heap_ops_mismatch(seed) == "" for seed in range(3))
 
-    def no_rise(heap, pos, i, item):
+    def stay_put(heap, pos, i, item):
         heap[i] = item
         pos[item[1]] = i
 
-    monkeypatch.setattr(heap_module, "_sift_up", no_rise)
+    monkeypatch.setattr(heap_module, "_move", stay_put)
     assert "tree heap" in cli._heap_ops_mismatch(0)
 
 
@@ -181,6 +182,51 @@ def test_exit_code_missing_file(tmp_path):
         ["hac", "--linkage", "single", "--input", str(tmp_path / "nope.wel"),
          "--output", str(tmp_path / "d.tsv")]
     ) == 3
+
+
+def _command_args(tmp_path):
+    """Arguments after the command name of a run of each file-reading
+    command that exits 0, with paths as `Path`s."""
+    g, pts, dend, labels = (tmp_path / n for n in ("g.wel", "pts.csv", "d.tsv", "l.txt"))
+    g.write_text(PATH_EDGES)
+    pts.write_text("0.0\n1.0\n10.0\n")
+    labels.write_text("0\n0\n1\n")
+    assert run_cli(["hac", "--linkage", "single", "--input", str(g), "--output", str(dend)]) == 0
+    return {
+        "hac": ["--linkage", "single", "--input", g, "--output", tmp_path / "out.tsv"],
+        "knn-graph": ["--k", "1", "--input", pts, "--output", tmp_path / "out.wel"],
+        "eval": ["--dendrogram", dend, "--labels", labels, "--output", tmp_path / "report.tsv"],
+    }
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-parent"])
+@pytest.mark.parametrize("command, flag", [
+    ("hac", "--input"), ("hac", "--output"), ("knn-graph", "--input"), ("knn-graph", "--output"),
+    ("eval", "--dendrogram"), ("eval", "--labels"), ("eval", "--output"),
+])
+def test_exit_code_unusable_path(tmp_path, capsys, command, flag, missing):
+    """A path that names a directory, or lies in a directory that does not
+    exist, exits 3 with the path and the OS reason, read or write alike."""
+    args = _command_args(tmp_path)[command]
+    path = tmp_path / "nodir" / "f" if missing else tmp_path / "dir"
+    if not missing:
+        path.mkdir()
+    args[args.index(flag) + 1] = path
+    assert run_cli([command, *map(str, args)]) == 3
+    reason = os.strerror(errno.ENOENT if missing else errno.EISDIR)
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("hac", "--input"), ("knn-graph", "--input"), ("eval", "--dendrogram"), ("eval", "--labels"),
+])
+def test_exit_code_non_utf8_file(tmp_path, capsys, command, flag):
+    """A file of any kind the CLI reads that is not UTF-8 is a format error."""
+    args = _command_args(tmp_path)[command]
+    path = args[args.index(flag) + 1]
+    path.write_bytes(b"\xff" + path.read_bytes())
+    assert run_cli([command, *map(str, args)]) == 4
+    assert "can't decode byte 0xff" in capsys.readouterr().err
 
 
 def test_exit_code_format_error(tmp_path):

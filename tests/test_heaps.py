@@ -17,9 +17,9 @@ IMPLS = [TreeNeighborHeap, MeldNeighborHeap]
 
 
 class _CountingPos(dict):
-    """A slot map that counts its writes. A sift writes one entry per slot
-    it moves plus the sifted entry's final slot, so `writes` counts sift
-    steps; a build or a reset makes a fresh map that is not counted."""
+    """A slot map that counts its writes. `heaps._move` writes one entry
+    per slot it moves plus the moved entry's final slot, so `writes` counts
+    sift steps; a build or a reset makes a fresh map that is not counted."""
 
     writes = 0
 
@@ -78,8 +78,7 @@ def test_update_to_same_priority_changes_nothing(cls, monkeypatch):
 
     items = [(k, (k % 5) / 4) for k in range(64)]
     h = cls(items)
-    for name in ("_sift_up", "_sift_down"):
-        monkeypatch.setattr(heap_module, name, no_sift)
+    monkeypatch.setattr(heap_module, "_move", no_sift)
     if cls is TreeNeighborHeap:
         slots = list(h._heap)
         steps = count_sift_steps(h)
@@ -605,8 +604,7 @@ def test_tree_sorted_build_cost(monkeypatch):
     def no_sift(*args):
         raise AssertionError("build sifted in Python")
 
-    for name in ("_sift_up", "_sift_down"):
-        monkeypatch.setattr(heap_module, name, no_sift)
+    monkeypatch.setattr(heap_module, "_move", no_sift)
     rng = random.Random(4)
     for d in (1, 2, 3, 10, 64, 100, 1000):
         items = [(k, 1.0 / (k + 1)) for k in range(d)]
