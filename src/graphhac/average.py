@@ -114,15 +114,16 @@ class _AvgState(HeapState):
 
     def __init__(self, graph: WeightedGraph, heap_impl: str, owned: bool = False):
         self.cut: list[dict[int, float]] = graph.adjacency()
-        rows = self.cut
         if owned:
-            deg = [len(row) for row in rows]
-            rows = [{} for _ in rows]
+            deg = [len(row) for row in self.cut]
+            rows = [{} for _ in self.cut]
             for u, v, w in graph.edges:  # u < v, so a tie goes to u
                 if deg[v] > deg[u]:
                     rows[v][u] = w
                 else:
                     rows[u][v] = w
+        else:  # the heaps take over their rows, which cut must not share
+            rows = [row.copy() for row in self.cut]
         super().__init__(rows, heap_impl)
 
     def degree(self, c: int) -> int:
@@ -258,7 +259,7 @@ def rebuild_cluster(state: _AvgState, stale_base: list[float], x: int) -> None:
 def exact_avg_hac(
     graph: WeightedGraph,
     *,
-    heap_impl: str = "tree",
+    heap_impl: str = "meld",
     audit: RunAudit | None = None,
 ) -> Dendrogram:
     """Chain-driver exact UPGMA that validates heap tops on extraction.
@@ -347,7 +348,7 @@ def approx_avg_hac(
     graph: WeightedGraph,
     epsilon: float = 0.1,
     *,
-    heap_impl: str = "tree",
+    heap_impl: str = "meld",
     audit: RunAudit | None = None,
 ) -> Dendrogram:
     """Heap-driver UPGMA that is epsilon-close: every merge's true similarity

@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="driver for triangle-based linkages (default chain)",
     )
     hac.add_argument("--epsilon", type=float, default=None, help="avg-approx closeness")
-    hac.add_argument("--heap-impl", choices=list(HEAP_IMPLS), default="tree")
+    hac.add_argument("--heap-impl", choices=list(HEAP_IMPLS), default="meld")
     hac.add_argument("--audit", action="store_true", help="run instrumented checks")
 
     knn = sub.add_parser("knn-graph", help="build a k-NN similarity graph from points")
@@ -284,8 +284,8 @@ def _cmd_selftest(args) -> int:
         g = instances.random_connected_graph(args.seed * 100003 + t)
         for kind in linkage.TRIANGLE_KINDS:
             ref = reference.reference_hac(g, kind)
-            chain = engine.chain_hac(g, kind)
-            heap_d = engine.heap_hac(g, kind)
+            chain = engine.chain_hac(g, kind, heap_impl="tree")
+            heap_d = engine.heap_hac(g, kind, heap_impl="tree")
             ok = same_clustering(heap_d, ref)
             if kind != linkage.WPGMA:
                 ok = ok and same_clustering(chain, ref)
@@ -304,13 +304,13 @@ def _cmd_selftest(args) -> int:
     for t in range(trials):
         g = instances.random_connected_graph(args.seed * 7919 + t)
         naive = average.naive_avg_hac(g)
-        exact = average.exact_avg_hac(g)
+        exact = average.exact_avg_hac(g, heap_impl="tree")
         if not same_clustering(exact, naive):
             ok_avg, detail = False, f"trial {t}"
             break
         if not evaluation.closeness_audit(g, naive, 0.0).passed:
             ok_close, detail = False, f"naive trial {t}"
-        approx = average.approx_avg_hac(g, 0.1)
+        approx = average.approx_avg_hac(g, 0.1, heap_impl="tree")
         if not evaluation.closeness_audit(g, approx, 0.1).passed:
             ok_close, detail = False, f"approx trial {t}"
         if average.exact_avg_hac(g, heap_impl="meld").merges != exact.merges:
@@ -375,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e.filename}: {e.strerror}" if e.filename else f"error: {e}",
               file=sys.stderr)
         return EXIT_IO
-    except (GraphFormatError, DendrogramError, UnicodeDecodeError) as e:
+    except (GraphFormatError, DendrogramError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FORMAT
     except ValueError as e:

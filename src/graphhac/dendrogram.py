@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+from .graph import read_text
+
 SAME_REL_TOL = 1e-9  # same_clustering's relative tolerance on merge weights
 
 
@@ -134,7 +136,7 @@ def parse_dendrogram(text: str) -> Dendrogram:
 
 
 def load_dendrogram(path: str | Path) -> Dendrogram:
-    return parse_dendrogram(Path(path).read_text(encoding="utf-8"))
+    return parse_dendrogram(read_text(path))
 
 
 def same_clustering(a: Dendrogram, b: Dendrogram) -> bool:

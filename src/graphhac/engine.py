@@ -66,14 +66,15 @@ class HeapState:
 
     def __init__(self, adj: list[dict[int, float]], heap_impl: str):
         """`adj[c]` maps the keys of c's initial heap to their priorities,
-        as the graph's `adjacency()` does; it is only read."""
+        as the graph's `adjacency()` does. Each row becomes its heap's table
+        with no copy, so the caller must not use the rows again."""
         if not adj:
             raise ValueError("empty graph")
         self.n = n = len(adj)
         self.heap_impl = heap_impl
         self.active = [True] * n
         self.size = [1] * n
-        self.heaps = [new_heap(heap_impl, row.items()) for row in adj]
+        self.heaps = [new_heap(heap_impl, row) for row in adj]
         self.builder = DendrogramBuilder(n)
 
     def degree(self, c: int) -> int:
@@ -112,7 +113,7 @@ class HeapState:
 class ClusterState(HeapState):
     """Live clustering over a graph for one triangle-based linkage run."""
 
-    def __init__(self, graph: WeightedGraph, kind: str, heap_impl: str = "tree"):
+    def __init__(self, graph: WeightedGraph, kind: str, heap_impl: str = "meld"):
         if not is_triangle_based(kind):
             raise LinkageError(
                 f"{kind!r} is not triangle-based; use the average-linkage engines"
@@ -226,7 +227,7 @@ def chain_hac(
     graph: WeightedGraph,
     kind: str,
     *,
-    heap_impl: str = "tree",
+    heap_impl: str = "meld",
     audit: RunAudit | None = None,
 ) -> Dendrogram:
     """Nearest-neighbor-chain driver. Merges happen only between clusters
@@ -312,7 +313,7 @@ def heap_hac(
     graph: WeightedGraph,
     kind: str,
     *,
-    heap_impl: str = "tree",
+    heap_impl: str = "meld",
     audit: RunAudit | None = None,
 ) -> Dendrogram:
     """Global-heap driver. Extracts the maximum stored edge; entries whose

@@ -15,11 +15,6 @@ import numpy as np
 # stray huge id cannot size every per-vertex list of the engines.
 ID_SLACK = 2**20
 
-# parse_edge_list splits this many lines at a time: the split rows cost
-# several times the graph they become, so holding them all at once doubled
-# the parse's peak memory.
-PARSE_CHUNK = 2**10
-
 # build_knn_graph works a block of rows at a time; a block's (rows, n) float64
 # Gram-form distances hold at most this many bytes (at least one row), and its
 # candidates are verified in chunks whose two (chunk, d) float64 arrays, the
@@ -31,7 +26,8 @@ KNN_BLOCK_BYTES = 2**18
 
 
 class GraphFormatError(ValueError):
-    """Malformed edge-list / point input. Carries a 1-based line number when known."""
+    """Malformed edge-list, point or label input, or an input file that is
+    not UTF-8. Carries a 1-based line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -119,27 +115,37 @@ def parse_edge_list(
     """Parse a whitespace-separated edge list.
 
     Lines are "u v w" (weighted) or "u v" (unweighted, weight fixed at the
-    1.0 placeholder pending reweighting). '#' starts a comment line. Vertex
-    ids are non-negative integers; n = 1 + max id, which may not exceed
+    1.0 placeholder pending reweighting). A line whose first token starts
+    with '#' is a comment. Vertex ids are non-negative ASCII decimal
+    integers and weights ASCII decimal floats (a sign, an exponent, inf and
+    nan are read as `int` and `float` read them; a token holding `_` or any
+    non-ASCII character is rejected). n = 1 + max id, which may not exceed
     2 * m + ID_SLACK (ValueError), so n stays proportional to the input.
     duplicate_policy is "error" or "max" (combine repeated unordered pairs by
     max weight; on equal weights, 0.0 and -0.0, the first line's wins).
 
-    Two paths. The bulk path splits the lines PARSE_CHUNK at a time, checks
-    every row's field count, converts each column with `int` / `float` (so
-    the numbers are the ones a line-by-line parse gives) and hands the
-    arrays to `_symmetrize_arrays`, which sorts, merges duplicates and
-    checks the rules. Where it rejects the input, for any reason,
-    `_edge_list_error` reads the same lines one at a time and raises the
-    first error in line order, with its line number: the bulk path never
-    names an error itself. An iterable `source` is read once, into a list.
+    Two paths. The bulk path drops comment and blank lines and reads the
+    rest with one `np.loadtxt` call, numpy's C reader, into a structured
+    array of int64 ids and float64 weights. That reader splits on the
+    whitespace `str.split` splits on, checks every row's field count, and
+    accepts exactly the tokens `int` and `float` accept under the ASCII rule
+    above, with equal values; `_symmetrize_arrays` then sorts, merges
+    duplicates and checks the rules. Where the bulk path rejects the input,
+    for any reason, `_edge_list_error` reads the same lines one at a time and
+    raises the first error in line order, with its line number: the bulk
+    path never names an error itself. A str `source` is split with
+    `str.splitlines`; an iterable `source` is read once, and each of its
+    items is split the same way, so an item may end in a line break.
     """
     if duplicate_policy not in ("error", "max"):
         raise ValueError(f"unknown duplicate policy {duplicate_policy!r}")
-    lines = source.splitlines() if isinstance(source, str) else list(source)
+    if isinstance(source, str):
+        lines = source.splitlines()
+    else:
+        lines = [line for item in source for line in item.splitlines()]
     try:
         g = _parse_bulk(lines, weighted, duplicate_policy == "error")
-    except (TypeError, ValueError, OverflowError):  # a bad token, or an id beyond int64
+    except ValueError:  # a bad token, a bad row or a negative id
         g = None
     if g is None:
         _edge_list_error(lines, weighted, duplicate_policy)
@@ -147,23 +153,20 @@ def parse_edge_list(
 
 
 def _parse_bulk(lines: list[str], weighted: bool, strict: bool) -> WeightedGraph | None:
-    """parse_edge_list's bulk path. Returns None, or raises, for any input
-    that breaks a rule; `strict` forbids duplicate pairs."""
-    want = 3 if weighted else 2
-    u, v, w = np.empty(len(lines), np.int64), np.empty(len(lines), np.int64), np.ones(len(lines))
-    m = 0
-    for i in range(0, len(lines), PARSE_CHUNK):
-        rows = [r for r in map(str.split, lines[i : i + PARSE_CHUNK]) if r and r[0][0] != "#"]
-        if set(map(len, rows)) - {want}:
-            return None
-        k = len(rows)
-        cols = list(zip(*rows)) or [()] * want
-        u[m : m + k] = np.fromiter(map(int, cols[0]), np.int64, k)
-        v[m : m + k] = np.fromiter(map(int, cols[1]), np.int64, k)
-        if weighted:
-            w[m : m + k] = np.fromiter(map(float, cols[2]), float, k)
-        m += k
-    u, v, w = u[:m], v[:m], w[:m]
+    """parse_edge_list's bulk path. Returns None, or raises ValueError, for
+    any input that breaks a rule; `strict` forbids duplicate pairs."""
+    fields = [("u", np.int64), ("v", np.int64)] + [("w", np.float64)] * weighted
+    # a generator, since a list of the data lines raised the peak memory;
+    # loadtxt warns on input with no data line
+    data = (line for line in lines if line.lstrip()[:1] not in ("", "#"))
+    first = next(data, None)
+    if first is not None:
+        rows = np.loadtxt(chain((first,), data), dtype=fields, comments=None, ndmin=1)
+    else:
+        rows = np.zeros(0, fields)
+    m = len(rows)
+    u, v = rows["u"], rows["v"]
+    w = rows["w"] if weighted else np.ones(m)
     # before the merge: under "max" a -inf beside a finite copy would vanish
     if not np.isfinite(w).all():
         return None
@@ -173,6 +176,16 @@ def _parse_bulk(lines: list[str], weighted: bool, strict: bool) -> WeightedGraph
     if loops or strict and g.m < m or n > 2 * g.m + ID_SLACK:
         return None
     return g
+
+
+def _ascii_number(convert: type, token: str) -> int | float:
+    """`convert(token)`, `int` or `float`, for a token of ASCII characters
+    without `_`, the tokens the bulk path's reader can accept; any other
+    token raises ValueError. `int` and `float` alone would also read digit
+    groups such as 1_0 and non-ASCII digits, which the reader rejects."""
+    if token.isascii() and "_" not in token:
+        return convert(token)
+    raise ValueError(f"{token!r} holds '_' or a non-ASCII character")
 
 
 def _edge_list_error(lines: list[str], weighted: bool, duplicate_policy: str) -> NoReturn:
@@ -192,7 +205,7 @@ def _edge_list_error(lines: list[str], weighted: bool, duplicate_policy: str) ->
                 f"expected {want} fields, got {len(fields)}", lineno
             )
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _ascii_number(int, fields[0]), _ascii_number(int, fields[1])
         except ValueError as e:
             raise GraphFormatError(f"bad vertex id: {e}", lineno) from None
         if u < 0 or v < 0:
@@ -201,7 +214,7 @@ def _edge_list_error(lines: list[str], weighted: bool, duplicate_policy: str) ->
             raise GraphFormatError(f"self-loop ({u},{u})", lineno)
         if weighted:
             try:
-                w = float(fields[2])
+                w = _ascii_number(float, fields[2])
             except ValueError:
                 raise GraphFormatError(f"bad weight {fields[2]!r}", lineno) from None
             if not math.isfinite(w):
@@ -220,8 +233,17 @@ def _edge_list_error(lines: list[str], weighted: bool, duplicate_policy: str) ->
     raise AssertionError("the bulk parse rejected an edge list that breaks no rule")
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; one that is not UTF-8 raises
+    GraphFormatError naming the path. Every loader reads through it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise GraphFormatError(f"{path}: {e}") from None
+
+
 def load_edge_list(path: str | Path, **kwargs) -> WeightedGraph:
-    return parse_edge_list(Path(path).read_text(encoding="utf-8"), **kwargs)
+    return parse_edge_list(read_text(path), **kwargs)
 
 
 def write_edge_list(g: WeightedGraph, path: str | Path) -> None:
@@ -314,7 +336,7 @@ def load_points_csv(path: str | Path) -> PointSet:
     """One point per row, all-numeric comma-separated columns; a nan or inf
     coordinate is a format error. Every field goes through `float` in one
     pass; where that rejects the file, `_points_error` names the line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     rows = [line.split(",") for line in map(str.strip, lines) if line]
     if len(set(map(len, rows))) == 1:
         try:
@@ -352,7 +374,7 @@ def _points_error(lines: list[str]) -> NoReturn:
 def load_labels(path: str | Path) -> np.ndarray:
     """One integer class id per line."""
     out = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue

@@ -1,12 +1,16 @@
 """Per-cluster neighbor heaps: key = neighbor cluster id, priority = weight.
 
-Two interchangeable representations with identical observable behavior:
+Two interchangeable representations with identical observable behavior.
+Both are built from a dict, which the heap takes over as its table with no
+copy (the engines hand over the fresh rows they build), or from (key,
+priority) pairs, which are copied, KeyError on a duplicate key. An empty
+build makes three (tree) or two (meld) empty containers and nothing else.
 
 * TreeNeighborHeap: a hash table key -> priority, which is the truth for
   get and len, plus an addressable binary heap: a `heapq` list
   of (-priority, key) slots and a key -> slot map. BestEdge reads slot 0 in
-  O(1). Construction is one `heapify`, O(d) from any order, KeyError on a
-  duplicate key. Insert, update, upsert, delete and rekey each move one
+  O(1). Construction is one `heapify`, O(d) from any order. Insert,
+  update, upsert, delete and rekey each move one
   slot up or down through `_move`, O(log d) worst case, and leave no stale
   entries; delete fills the hole with the last slot and moves it whichever
   way it belongs. A write of the priority already stored returns after the
@@ -88,6 +92,20 @@ def _move(heap: list, pos: dict, i: int, item: tuple) -> None:
     pos[item[1]] = i
 
 
+def _table(items: dict[int, float] | Iterable[tuple[int, float]]) -> dict[int, float]:
+    """The table of a heap built from `items`. A dict is taken over as it
+    is, so its caller must not use it again; (key, priority) pairs are
+    copied into a new dict, priorities as floats, KeyError on a repeated
+    key."""
+    if isinstance(items, dict):
+        return items
+    items = list(items)
+    tab = {k: float(p) for k, p in items}
+    if len(tab) != len(items):
+        raise KeyError("insert: duplicate key in items")
+    return tab
+
+
 def _relabel(self, old_key: int, new_key: int, combine: CombineFn) -> None:
     """Move old_key's priority to new_key, combined with new_key's own
     priority if it has one; relabel(k, k, f) leaves the heap as it is.
@@ -136,14 +154,11 @@ class TreeNeighborHeap:
 
     __slots__ = ("_tab", "_heap", "_pos")
 
-    def __init__(self, items: Iterable[tuple[int, float]] = ()):
+    def __init__(self, items: dict[int, float] | Iterable[tuple[int, float]] = ()):
         if not items:  # every emptied or freshly folded heap
             self._tab, self._heap, self._pos = {}, [], {}
             return
-        items = list(items)
-        self._tab = tab = {k: float(p) for k, p in items}
-        if len(tab) != len(items):
-            raise KeyError("insert: duplicate key in items")
+        self._tab = tab = _table(items)
         heap = [(-p, k) for k, p in tab.items()]
         heapify(heap)
         self._heap = heap
@@ -260,11 +275,11 @@ class MeldNeighborHeap:
 
     __slots__ = ("_tab", "_heap")
 
-    def __init__(self, items: Iterable[tuple[int, float]] = ()):
-        items = list(items)
-        self._tab = {k: float(p) for k, p in items}
-        if len(self._tab) != len(items):
-            raise KeyError("insert: duplicate key in items")
+    def __init__(self, items: dict[int, float] | Iterable[tuple[int, float]] = ()):
+        if not items:  # every emptied or freshly folded heap
+            self._tab, self._heap = {}, []
+            return
+        self._tab = _table(items)
         self._compact()
 
     def _compact(self) -> None:
@@ -353,7 +368,11 @@ class MeldNeighborHeap:
 NeighborHeap = TreeNeighborHeap | MeldNeighborHeap
 
 
-def new_heap(impl: str, items: Iterable[tuple[int, float]] = ()) -> NeighborHeap:
+def new_heap(
+    impl: str, items: dict[int, float] | Iterable[tuple[int, float]] = ()
+) -> NeighborHeap:
+    """A heap of kind `impl` built from `items`, a dict that it takes over
+    as its table or (key, priority) pairs that it copies."""
     if impl == "tree":
         return TreeNeighborHeap(items)
     if impl == "meld":

@@ -83,7 +83,8 @@ def test_exact_equals_naive(small_graphs):
 
 def test_exact_meld_equals_tree(small_graphs):
     for g in small_graphs[:6]:
-        assert exact_avg_hac(g, heap_impl="meld").merges == exact_avg_hac(g).merges
+        tree = exact_avg_hac(g, heap_impl="tree")
+        assert exact_avg_hac(g, heap_impl="meld").merges == tree.merges
 
 
 def test_exact_shared_neighbor_collapses_to_single_edge():
@@ -141,7 +142,7 @@ def test_approx_meld_equals_tree(small_graphs):
     for g in small_graphs[:6]:
         assert (
             approx_avg_hac(g, 0.1, heap_impl="meld").merges
-            == approx_avg_hac(g, 0.1).merges
+            == approx_avg_hac(g, 0.1, heap_impl="tree").merges
         )
 
 
@@ -223,11 +224,11 @@ def test_approx_owned_check_on_random():
     # priority, and the merged edge (1-eps)-close to its stored key
     for t in range(12):
         g = random_connected_graph(6000 + t, max_n=48)
-        approx_avg_hac(g, 0.1, audit=RunAudit(checks=True))
+        approx_avg_hac(g, 0.1, heap_impl="tree", audit=RunAudit(checks=True))
     for g in [*TIED_GRAPHS[:20], *HUB_STARS[:22]]:
         approx_avg_hac(g, 0.5, heap_impl="meld", audit=RunAudit(checks=True))
     g = random_connected_graph(123, max_n=48)
-    approx_avg_hac(g, 0.6, audit=RunAudit(checks=True))
+    approx_avg_hac(g, 0.6, heap_impl="tree", audit=RunAudit(checks=True))
 
 
 def test_check_owned_is_bitwise():

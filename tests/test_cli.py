@@ -43,7 +43,7 @@ def test_hac_all_linkages_and_drivers(tmp_path):
     out2 = tmp_path / "heapdrv.tsv"
     assert run_cli(
         ["hac", "--linkage", "single", "--driver", "heap", "--input", str(inp),
-         "--output", str(out2), "--heap-impl", "meld"]
+         "--output", str(out2), "--heap-impl", "tree"]
     ) == 0
 
 
@@ -221,12 +221,27 @@ def test_exit_code_unusable_path(tmp_path, capsys, command, flag, missing):
     ("hac", "--input"), ("knn-graph", "--input"), ("eval", "--dendrogram"), ("eval", "--labels"),
 ])
 def test_exit_code_non_utf8_file(tmp_path, capsys, command, flag):
-    """A file of any kind the CLI reads that is not UTF-8 is a format error."""
+    """A file of any kind the CLI reads that is not UTF-8 is a format error
+    that names the file."""
     args = _command_args(tmp_path)[command]
     path = args[args.index(flag) + 1]
     path.write_bytes(b"\xff" + path.read_bytes())
     assert run_cli([command, *map(str, args)]) == 4
-    assert "can't decode byte 0xff" in capsys.readouterr().err
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("bad, good", [("--labels", "--dendrogram"), ("--dendrogram", "--labels")])
+def test_eval_names_the_file_that_is_not_utf8(tmp_path, capsys, bad, good):
+    """eval reads two files: with one not UTF-8 and the other valid, the
+    message names the bad one and not the other."""
+    args = _command_args(tmp_path)["eval"]
+    bad_path, good_path = args[args.index(bad) + 1], args[args.index(good) + 1]
+    bad_path.write_bytes(bad_path.read_bytes() + b"\xfe\n")
+    assert run_cli(["eval", *map(str, args)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad_path}: 'utf-8' codec can't decode byte 0xfe")
+    assert str(good_path) not in err
 
 
 def test_exit_code_format_error(tmp_path):
@@ -431,12 +446,12 @@ def test_parser_reuse_leaks_nothing_between_calls(tmp_path, monkeypatch):
         return real(args)
 
     monkeypatch.setattr(cli, "_cmd_hac", spy)
-    assert main(["hac", "--linkage", "avg-approx", "--epsilon", "0.5", "--heap-impl", "meld",
+    assert main(["hac", "--linkage", "avg-approx", "--epsilon", "0.5", "--heap-impl", "tree",
                  "--audit", "--input", str(inp), "--output", out]) == 0
     # a leaked --epsilon would make this an exit-2 usage error
     assert main(["hac", "--linkage", "avg-exact", "--input", str(inp), "--output", out]) == 0
-    assert seen[0]["epsilon"] == 0.5 and seen[0]["heap_impl"] == "meld" and seen[0]["audit"]
-    assert seen[1]["epsilon"] is None and seen[1]["heap_impl"] == "tree" and not seen[1]["audit"]
+    assert seen[0]["epsilon"] == 0.5 and seen[0]["heap_impl"] == "tree" and seen[0]["audit"]
+    assert seen[1]["epsilon"] is None and seen[1]["heap_impl"] == "meld" and not seen[1]["audit"]
     assert main(["hac", "--linkage", "wpgma", "--epsilon", "0.2", "--input", str(inp),
                  "--output", out]) == 2
     assert main(["hac", "--linkage", "wpgma", "--input", str(inp), "--output", out]) == 0

@@ -112,38 +112,62 @@ def reference_parse(text: str, weighted: bool, duplicate_policy: str):
     return n, sorted((a, b, w) for (a, b), w in best.items())
 
 
-def random_edge_file(rng: np.random.Generator, weighted: bool, duplicates: bool) -> str:
-    """A valid edge list with shuffled lines, randomly reversed pairs, comment
-    and blank lines, tabs, padding and mixed line ends; weights include
-    0.0, -0.0, negatives, subnormals and large magnitudes, and with
-    `duplicates` some pairs repeat, reversed or not."""
+def long_weight(rng: np.random.Generator) -> str:
+    """A finite decimal weight of 17 to 40 significant digits, signed or
+    not, with an exponent anywhere from underflow to near the largest
+    float: more digits than a float holds, so the reader must round as
+    `float` does."""
+    digits = "".join(map(str, rng.integers(10, size=int(rng.integers(17, 41)))))
+    p = int(rng.integers(len(digits) + 1))
+    sign = ("", "-", "+")[rng.integers(3)]
+    return f"{sign}{digits[:p]}.{digits[p:]}e{int(rng.integers(-345, 309 - p))}"
+
+
+def random_edge_file(rng: np.random.Generator, weighted: bool, duplicates: bool, form: int) -> str:
+    """A valid edge list with shuffled lines, randomly reversed pairs, blank
+    lines, padding and mixed line ends; weights include 0.0, -0.0,
+    negatives, subnormals and large magnitudes, and with `duplicates` some
+    pairs repeat, reversed or not. The bits of `form` choose what else the
+    reader meets: 1 comment lines, 2 Unicode whitespace (no-break and em
+    spaces inside lines, and the file separator, a line break to
+    `str.splitlines`, as a line end), 4 `+`-signed ids, 8 weights of 17 to
+    40 digits."""
     n = int(rng.integers(2, 40))
     pairs = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(3 * n)}
     pool = [0.0, -0.0, 1.0, -2.5, 5e-324, 1e-310, 1.7e308, 1 / 3]
+    seps = ("\t", " ", "  \t ") + ("\xa0", "\u2003", " \xa0\t") * bool(form & 2)
     lines = []
     for a, b in pairs:
         for _ in range(int(rng.integers(1, 4)) if duplicates else 1):
-            w = pool[rng.integers(len(pool))]
+            w = repr(pool[rng.integers(len(pool))])
             if rng.random() < 0.5:
-                w = float(rng.normal() * 10.0 ** rng.integers(-5, 5))
+                w = repr(float(rng.normal() * 10.0 ** rng.integers(-5, 5)))
+            if form & 8 and rng.random() < 0.5:
+                w = long_weight(rng)
             u, v = (a, b) if rng.random() < 0.5 else (b, a)
-            sep = ("\t", " ", "  \t ")[rng.integers(3)]
-            fields = [str(u), str(v)] + ([repr(w)] if weighted else [])
-            lines.append(" " * int(rng.integers(2)) + sep.join(fields) + "\t" * int(rng.integers(2)))
-    lines += ["", "   ", "# a comment", "\t#x 1 2", "#"] * int(rng.integers(3))
+            ids = [("+" if form & 4 and rng.random() < 0.5 else "") + str(x) for x in (u, v)]
+            sep = seps[rng.integers(len(seps))]
+            pad = seps[rng.integers(len(seps))]
+            fields = ids + ([w] if weighted else [])
+            lines.append(pad * int(rng.integers(2)) + sep.join(fields) + pad * int(rng.integers(2)))
+    lines += ["", "   "] * int(rng.integers(3))
+    if form & 1:
+        lines += ["# a comment", "\t#x 1 2", "#", "# 0 1 caf\xe9", "#\xa0\u2003"] * int(rng.integers(1, 3))
     rng.shuffle(lines)
-    eol = ("\n", "\r\n")[rng.integers(2)]
+    eols = ("\n", "\r\n") + ("\x1c",) * bool(form & 2)
+    eol = eols[rng.integers(len(eols))]
     return eol.join(lines) + eol * int(rng.integers(2))
 
 
 @pytest.mark.parametrize("weighted", [True, False])
 @pytest.mark.parametrize("duplicate_policy", ["error", "max"])
-@pytest.mark.parametrize("chunk", [1, 7, graph.PARSE_CHUNK])
-def test_parse_matches_reference_parser(monkeypatch, weighted, duplicate_policy, chunk):
-    monkeypatch.setattr(graph, "PARSE_CHUNK", chunk)
-    rng = np.random.default_rng([int(weighted), len(duplicate_policy)])
-    for _ in range(60):
-        text = random_edge_file(rng, weighted, duplicate_policy == "max")
+@pytest.mark.parametrize("seed", [1, 7, 1024])
+def test_parse_matches_reference_parser(weighted, duplicate_policy, seed):
+    """Every form of `random_edge_file`, 4 files of each, read from a str
+    and from an iterable of lines that keep their line ends."""
+    rng = np.random.default_rng([seed, int(weighted), len(duplicate_policy)])
+    for form in list(range(16)) * 4:
+        text = random_edge_file(rng, weighted, duplicate_policy == "max", form)
         n, edges = reference_parse(text, weighted, duplicate_policy)
         for source in (text, iter(text.splitlines(keepends=True))):
             g = parse_edge_list(source, weighted=weighted, duplicate_policy=duplicate_policy)
@@ -182,18 +206,59 @@ def test_parse_max_duplicates_keep_the_first_signed_zero():
         # the first error in line order wins, whatever its kind
         ("0 0 1.0\n-1 2 1.0\n", GraphFormatError, "self-loop (0,0)", 1),
         ("# c\n\n0 1 0.5\r\n3 3 1\r\n", GraphFormatError, "self-loop (3,3)", 4),
+        # `int` and `float` read digit groups and non-ASCII digits; the
+        # format, like the bulk reader, does not
+        ("0 1 0.5\n1_0 2 0.5\n", GraphFormatError,
+         "bad vertex id: '1_0' holds '_' or a non-ASCII character", 2),
+        ("0 1 0.5\n1 \uff12 0.5\n", GraphFormatError,
+         "bad vertex id: '\uff12' holds '_' or a non-ASCII character", 2),
+        ("0 1 0.5\n1 2 \u0661.\u0665\n", GraphFormatError, "bad weight '\u0661.\u0665'", 2),
     ],
 )
-def test_parse_hostile_file_keeps_its_error(monkeypatch, text, kind, message, line):
+def test_parse_hostile_file_keeps_its_error(text, kind, message, line):
     policies = ["error"] if "duplicate" in message else ["error", "max"]
-    for chunk, lines, policy in product((1, graph.PARSE_CHUNK), (False, True), policies):
-        monkeypatch.setattr(graph, "PARSE_CHUNK", chunk)
+    for lines, policy in product((False, True), policies):
         source = iter(text.splitlines(keepends=True)) if lines else text
         with pytest.raises(ValueError) as exc:
             parse_edge_list(source, duplicate_policy=policy)
         assert type(exc.value) is kind
         assert str(exc.value) == (message if line is None else f"line {line}: {message}")
         assert getattr(exc.value, "line", None) == line
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_parse_corrupted_file_names_an_error(weighted):
+    """One token of a valid file replaced by one no field may hold, or one
+    token dropped or added: the bulk reader rejects the file and the line
+    loop names an error, never the AssertionError of a disagreement."""
+    rng = np.random.default_rng([5, int(weighted)])
+    bad = ["1_0", "\uff11", "\u0663", "0x1", "+-1", "1e", "0\x00", "nan", "-inf", "1.5e999", "\xbd"]
+    for form in list(range(16)) * 4:
+        lines = random_edge_file(rng, weighted, False, form).splitlines()
+        i = int(rng.choice([j for j, line in enumerate(lines) if line.split() and line.split()[0][0] != "#"]))
+        fields = lines[i].split()
+        k = int(rng.integers(len(fields)))
+        edit = int(rng.integers(3))
+        if edit == 0:
+            fields[k] = bad[rng.integers(len(bad))]
+        elif edit == 1:
+            del fields[k]
+        else:
+            fields.insert(k, "1")
+        lines[i] = " ".join(fields)
+        with pytest.raises(ValueError) as exc:
+            parse_edge_list(lines, weighted=weighted)
+        if isinstance(exc.value, GraphFormatError):
+            assert exc.value.line is not None
+
+
+def test_parse_iterable_items_split_into_lines():
+    """An item of an iterable source is split into lines as a str source
+    is, so a line break inside an item ends a line."""
+    text = "0 1 0.5\n1 2 0.25\r\n2 3 1.0\n"
+    assert parse_edge_list(["0 1 0.5\n1 2 0.25\r\n", "2 3 1.0"]) == parse_edge_list(text)
+    with pytest.raises(GraphFormatError, match="line 1: expected 3 fields, got 2"):
+        parse_edge_list(["0 1\n0.5"])
 
 
 def test_point_and_label_files_keep_their_errors(tmp_path):
