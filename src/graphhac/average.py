@@ -246,7 +246,7 @@ def rebuild_cluster(state: _AvgState, stale_base: list[float], x: int) -> None:
     xsz = size[x]
     heap = heaps[x]
     if len(heap) < len(row):  # emptied
-        heaps[x] = new_heap(state.heap_impl, [(c, cs / size[c]) for c, cs in row.items()])
+        heaps[x] = new_heap(state.heap_impl, {c: cs / size[c] for c, cs in row.items()})
         for c, cs in row.items():
             heaps[c].upsert(x, cs / xsz)
     else:

@@ -4,6 +4,7 @@ symmetrization, and brute-force k-NN graph construction from point sets."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -129,7 +130,9 @@ def parse_edge_list(
     array of int64 ids and float64 weights. That reader splits on the
     whitespace `str.split` splits on, checks every row's field count, and
     accepts exactly the tokens `int` and `float` accept under the ASCII rule
-    above, with equal values; `_symmetrize_arrays` then sorts, merges
+    above, with equal values (numpy < 2 also reads an id such as 1.5 through
+    float with a DeprecationWarning, which the bulk path turns into a
+    rejection); `_symmetrize_arrays` then sorts, merges
     duplicates and checks the rules. Where the bulk path rejects the input,
     for any reason, `_edge_list_error` reads the same lines one at a time and
     raises the first error in line order, with its line number: the bulk
@@ -160,10 +163,18 @@ def _parse_bulk(lines: list[str], weighted: bool, strict: bool) -> WeightedGraph
     # loadtxt warns on input with no data line
     data = (line for line in lines if line.lstrip()[:1] not in ("", "#"))
     first = next(data, None)
-    if first is not None:
-        rows = np.loadtxt(chain((first,), data), dtype=fields, comments=None, ndmin=1)
-    else:
+    if first is None:
         rows = np.zeros(0, fields)
+    else:
+        with warnings.catch_warnings():
+            # numpy < 2 reads an int64 field such as 1.5 or 1e3 through
+            # float and truncates it, with only a DeprecationWarning; as an
+            # error, it rejects the file like any other bad token
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                rows = np.loadtxt(chain((first,), data), dtype=fields, comments=None, ndmin=1)
+            except DeprecationWarning:
+                return None
     m = len(rows)
     u, v = rows["u"], rows["v"]
     w = rows["w"] if weighted else np.ones(m)

@@ -371,8 +371,9 @@ NeighborHeap = TreeNeighborHeap | MeldNeighborHeap
 def new_heap(
     impl: str, items: dict[int, float] | Iterable[tuple[int, float]] = ()
 ) -> NeighborHeap:
-    """A heap of kind `impl` built from `items`, a dict that it takes over
-    as its table or (key, priority) pairs that it copies."""
+    """A heap of kind `impl` built from `items`: a dict is aliased, not
+    copied, as the heap's table, so the caller must not use it again;
+    (key, priority) pairs are copied."""
     if impl == "tree":
         return TreeNeighborHeap(items)
     if impl == "meld":

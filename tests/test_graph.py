@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -191,8 +192,11 @@ def test_parse_max_duplicates_keep_the_first_signed_zero():
         (f"0 1 0.5\n1 {10**20} 0.5\n", ValueError,
          f"max vertex id {10**20} gives n = {10**20 + 1} vertices, above the bound "
          f"2 * m + {ID_SLACK} = {4 + ID_SLACK} for m = 2 edges", None),
+        # numpy < 2 reads these ids through float, with a DeprecationWarning
         ("0 1 0.5\n1.5 2 0.5\n", GraphFormatError,
          "bad vertex id: invalid literal for int() with base 10: '1.5'", 2),
+        ("0 1 0.5\n1 1e3 0.5\n", GraphFormatError,
+         "bad vertex id: invalid literal for int() with base 10: '1e3'", 2),
         ("0 1 nan\n", GraphFormatError, "non-finite weight 'nan'", 1),
         ("0 1 0.5\n1 2 inf\n", GraphFormatError, "non-finite weight 'inf'", 2),
         ("0 1 0.5\n1 2 1e400\n", GraphFormatError, "non-finite weight '1e400'", 2),
@@ -219,11 +223,30 @@ def test_parse_hostile_file_keeps_its_error(text, kind, message, line):
     policies = ["error"] if "duplicate" in message else ["error", "max"]
     for lines, policy in product((False, True), policies):
         source = iter(text.splitlines(keepends=True)) if lines else text
-        with pytest.raises(ValueError) as exc:
+        # a warning that escaped the parse would fail pytest.raises
+        with warnings.catch_warnings(), pytest.raises(ValueError) as exc:
+            warnings.simplefilter("error")
             parse_edge_list(source, duplicate_policy=policy)
         assert type(exc.value) is kind
         assert str(exc.value) == (message if line is None else f"line {line}: {message}")
         assert getattr(exc.value, "line", None) == line
+
+
+def test_parse_rejects_a_reader_that_truncates_with_a_warning(monkeypatch):
+    """numpy < 2 reads an int64 field such as 1.5 through float and
+    truncates it, warning only. Such a reader must not turn a bad id into a
+    different graph: the warning sends the file to the line loop."""
+    real = np.loadtxt
+
+    def truncating(lines, *args, **kwargs):
+        lines = [line.replace("1.5", "1") for line in lines]
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return real(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", truncating)
+    with pytest.raises(GraphFormatError, match="line 2: bad vertex id"):
+        parse_edge_list("0 1 0.5\n1.5 2 0.5\n")
 
 
 @pytest.mark.parametrize("weighted", [True, False])
