@@ -139,7 +139,7 @@ class _AvgState(HeapState):
         true priority cs/|c| of every edge it gains or joins. Each
         ex-neighbor c moves its folded entry to the survivor at cs/|s|: a
         joined c deletes it and updates its survivor entry, any other c
-        rekeys it in its own slot. A moved edge that is not joined keeps its
+        rekeys it in its own heap. A moved edge that is not joined keeps its
         cut sum and its other end, so its true value is at most the bound
         the folded heap stored. The folded heap is left empty. Returns the
         survivor."""
@@ -176,7 +176,7 @@ class _AvgState(HeapState):
           they are, and s takes its true priority;
         - an edge that f owned moves to s with f's stored bound, since its
           cut sum and its other end are unchanged;
-        - an edge that c owned stays with c, rekeyed in its own slot from f
+        - an edge that c owned stays with c, rekeyed in its own heap from f
           to s at the true priority cs/|s|, which is at most cs/|f| and so
           at most the bound it replaces.
         So a cluster other than s only loses entries or sees one fall. The

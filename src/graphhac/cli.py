@@ -181,9 +181,9 @@ def _cmd_eval(args) -> int:
 
 def _heap_ops_mismatch(seed: int) -> str:
     """Run a seeded random sequence of insert/update/upsert/delete/rekey/
-    relabel/union/best_edge on every heap representation beside a dict
-    oracle; a rekey onto a present key must raise KeyError and change
-    nothing. Returns the first disagreement, or "" when there is none."""
+    relabel/union/best_edge on both heap classes beside a dict oracle; a
+    rekey onto a present key must raise KeyError and change nothing.
+    Returns the first disagreement, or "" when there is none."""
     rng = random.Random(seed)
     pools = [([new_heap(impl) for impl in HEAP_IMPLS], {}) for _ in range(4)]
     for step in range(1000):
@@ -277,8 +277,10 @@ def _cmd_selftest(args) -> int:
     # function of cluster contents (single, complete). WPGMA weights depend
     # on merge interleaving when edges are missing, so the chain driver is
     # only required to emit a structurally valid mutual-best dendrogram.
-    # Every heap-backed engine must merge identically on both heaps, and
-    # both heaps must match a dict oracle over a random op sequence.
+    # Every heap-backed engine must merge identically on the meld heap and
+    # on its twin `tree`, which walks its entries in reversed order, so no
+    # engine may depend on that order; both must match a dict oracle over
+    # a random op sequence.
     ok_tri, detail, repr_fail = True, "", ""
     for t in range(trials):
         g = instances.random_connected_graph(args.seed * 100003 + t)

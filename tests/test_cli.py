@@ -163,18 +163,21 @@ def test_selftest_round_trip_catches_a_lossy_writer(monkeypatch):
 
 
 def test_selftest_heap_ops_catch_a_broken_heap(monkeypatch):
-    """The selftest's random heap-op run reports a tree heap whose slot
-    move leaves every entry where it lands."""
-    import graphhac.heaps as heap_module
+    """The selftest's random heap-op run reports a meld heap whose
+    best_edge skips its liveness check, and so returns deleted or
+    outdated entries."""
+    from graphhac.heaps import MeldNeighborHeap
 
     assert all(cli._heap_ops_mismatch(seed) == "" for seed in range(3))
 
-    def stay_put(heap, pos, i, item):
-        heap[i] = item
-        pos[item[1]] = i
+    def unchecked_best_edge(self):
+        if not self._heap:
+            raise KeyError("best_edge on empty heap")
+        negp, key = self._heap[0]
+        return key, -negp
 
-    monkeypatch.setattr(heap_module, "_move", stay_put)
-    assert "tree heap" in cli._heap_ops_mismatch(0)
+    monkeypatch.setattr(MeldNeighborHeap, "best_edge", unchecked_best_edge)
+    assert "meld heap" in cli._heap_ops_mismatch(0)
 
 
 def test_exit_code_missing_file(tmp_path):
